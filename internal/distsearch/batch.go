@@ -25,15 +25,15 @@ type BatchResult struct {
 	// Costs is the per-query cost ledger, index-aligned with the input:
 	// node-reported cells and exclusive/amortized codes plus each query's
 	// even share of the wire bytes of the batched round-trips that carried
-	// it. Entries stay at their wire-byte floor when every node predates the
-	// v6 ledger.
+	// it. Entries stay at their wire-byte floor when no node ships ledger
+	// entries.
 	Costs []telemetry.QueryCost
 	// Total is the batch-level cost rollup: codes and cells summed from the
 	// node ledger entries (each node's entries conserve its distinct-scan
 	// counter exactly), scan time from the node-shipped list_scan spans
-	// (traced batches only), wire bytes from the coordinator's own
-	// round-trip byte deltas. With v6 nodes the per-query Costs sum exactly
-	// to Total component-wise — the attribution conserves the measurement.
+	// (traced batches only), wire bytes from the request and reply frame
+	// sizes. With ledger-shipping nodes the per-query Costs sum exactly to
+	// Total component-wise — the attribution conserves the measurement.
 	Total telemetry.QueryCost
 	// BatchID is the batch's identity: the batch trace's ID when traced,
 	// else a freshly minted ID when a flight recorder is attached (member
@@ -41,9 +41,8 @@ type BatchResult struct {
 	// else 0.
 	BatchID uint64
 	// Degraded counts grouped wire requests that a node served WITHOUT
-	// grouped execution — a pre-v6 node that dropped the Grouped flag and
-	// ran the batch per-query. 0 when grouping is off or all nodes are
-	// current.
+	// grouped execution — a node that ignored the Grouped flag and ran the
+	// batch per-query. 0 when grouping is off or every node groups.
 	Degraded int
 }
 

@@ -1,7 +1,6 @@
 package distsearch
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -16,23 +15,25 @@ import (
 	"repro/internal/vec"
 )
 
-// nodeClient is one persistent connection to a shard node. Requests on a
-// single connection are serialized by a mutex; the coordinator issues
-// cross-node requests in parallel.
+// nodeClient is one persistent framed connection to a shard node. One
+// exchange runs at a time on it: the caller holding mu writes its request
+// frame and reads until the reply carrying its request ID arrives. The
+// coordinator issues cross-node requests in parallel.
 type nodeClient struct {
-	addr string
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	mu   sync.Mutex
+	addr   string
+	mu     sync.Mutex
+	stream frameStream
+	// lastID is the request ID of the latest exchange. A reply with a
+	// smaller ID is the late answer to a request whose deadline fired; the
+	// next exchange skips and counts it.
+	lastID uint64
 
-	// broken marks the connection poisoned after a transport failure. The
-	// wire protocol has no correlation ID, so once an exchange fails the
-	// gob stream is unusable: a node that finishes a timed-out request
-	// late still writes its response, and the next decode on the same
-	// connection would silently take that stale response as the reply to
-	// a NEW request. The failing exchange therefore closes the socket (so
-	// the late reply has nowhere to land) and the next round-trip redials.
+	// broken marks a connection closed after an I/O error, a deadline that
+	// fired mid-frame, or a reply that would not decode: the stream
+	// position is then unknown, so the next round-trip redials and checks
+	// the node's identity again. A deadline that fires before any byte of
+	// the reply leaves the stream at a frame boundary and the connection
+	// open.
 	broken bool
 
 	// dialTimeout bounds the TCP dial and the OpInfo handshake, for both
@@ -57,12 +58,6 @@ type nodeClient struct {
 	// lifetime — the coordinator-side view of per-shard load, feeding the
 	// imbalance gauge and the DVFS energy collector.
 	deepLoad atomic.Int64
-
-	// wireBytes accumulates every byte sent to or received from this node
-	// (fed by the counting codec wrappers). Because the per-connection mutex
-	// serializes exchanges, the counter's delta across one round-trip is that
-	// request's exact wire cost — the WireBytes source of the query ledger.
-	wireBytes atomic.Int64
 }
 
 func dialNode(addr string, timeout, rtTimeout time.Duration, cm *coordMetrics, ev *evlog.Log) (*nodeClient, error) {
@@ -71,30 +66,36 @@ func dialNode(addr string, timeout, rtTimeout time.Duration, cm *coordMetrics, e
 		ev.Warn("node.dial", evlog.Str("addr", addr), evlog.Err(err))
 		return nil, fmt.Errorf("distsearch: dial %s: %w", addr, err)
 	}
-	c := &nodeClient{addr: addr, conn: conn, dialTimeout: timeout, rtTimeout: rtTimeout, cm: cm, ev: ev}
-	// The handshake runs before the shard ID is known, so wire byte counts
-	// attach to the codec only afterwards; the gob codec itself must be
-	// constructed exactly once per connection (it streams type state).
-	c.met = clientMetrics{}
-	sent := &countingWriter{w: conn, n: &c.wireBytes}
-	recv := &countingReader{r: conn, n: &c.wireBytes}
-	c.enc = gob.NewEncoder(sent)
-	c.dec = gob.NewDecoder(recv)
-	info, err := c.roundTrip(&Request{Op: OpInfo})
+	c := &nodeClient{addr: addr, dialTimeout: timeout, rtTimeout: rtTimeout, cm: cm, ev: ev}
+	c.stream.reset(conn)
+	// The handshake runs before the shard ID is known, so its bytes land
+	// on no per-node counter (c.met is the zero value until below).
+	info, err := c.roundTrip(&Request{Op: OpInfo, Version: ProtocolVersion})
+	if err == nil {
+		err = checkVersion(info)
+	}
 	if err != nil {
 		//lint:ignore errdrop the handshake already failed; Close is best-effort cleanup
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("distsearch: handshake with %s (coordinator speaks frame protocol v%d; gob-stream nodes speak v6 or earlier): %w",
+			addr, ProtocolVersion, err)
 	}
 	c.shardID = info.ShardID
 	c.size = info.Size
 	c.dim = info.Dim
 	c.centroid = info.Centroid
 	c.met = newClientMetrics(cm.reg, c.shardID)
-	sent.c = c.met.sent
-	recv.c = c.met.recv
 	ev.Info("node.dial", evlog.Str("addr", addr), evlog.Int("shard", int64(c.shardID)))
 	return c, nil
+}
+
+// checkVersion fails a handshake reply from a node speaking another frame
+// protocol version.
+func checkVersion(info *Response) error {
+	if info.Version != ProtocolVersion {
+		return fmt.Errorf("node speaks frame protocol v%d, coordinator v%d", info.Version, ProtocolVersion)
+	}
+	return nil
 }
 
 // roundTrip issues one request/response exchange. Each exchange counts into
@@ -106,15 +107,10 @@ func (c *nodeClient) roundTrip(req *Request) (*Response, error) {
 	return resp, err
 }
 
-// roundTripBytes is roundTrip plus the exchange's exact wire cost in bytes
-// (request sent + response received, measured under the gob codec). The
-// delta is read inside the per-connection mutex, so concurrent queries on
-// the same connection cannot bleed into each other's accounting.
-func (c *nodeClient) roundTripBytes(req *Request) (resp *Response, wire int64, err error) {
+// roundTripBytes is roundTrip plus the exchange's wire cost in bytes: the
+// request frame plus the reply frame.
+func (c *nodeClient) roundTripBytes(req *Request) (*Response, int64, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	before := c.wireBytes.Load()
-	defer func() { wire = c.wireBytes.Load() - before }()
 	c.cm.opCounter(req.Op).Inc()
 	switch req.Op {
 	case OpDeep:
@@ -133,20 +129,11 @@ func (c *nodeClient) roundTripBytes(req *Request) (resp *Response, wire int64, e
 	defer func() {
 		c.met.roundTrip.ObserveExemplar(now().Sub(rtStart).Seconds(), req.TraceID)
 	}()
-	if c.broken {
-		//lint:ignore lockheldio serializing the redial under the per-connection mutex is the design: one repair at a time, and queued requests must not race a half-built conn
-		if rerr := c.redialLocked(); rerr != nil {
-			return nil, 0, fmt.Errorf("distsearch: reconnect %s: %w", c.addr, rerr)
-		}
-	}
-	timeout := c.rtTimeout
-	if req.Op == OpInfo && timeout <= 0 {
-		// DialOptions.Timeout bounds the OpInfo handshake even when
-		// round-trips are otherwise deadline-free.
-		timeout = c.dialTimeout
-	}
-	//lint:ignore lockheldio the per-connection mutex exists to serialize gob exchanges on one stateful stream; concurrency comes from many nodeClients, not many requests per conn
-	resp, err = c.exchangeLocked(req, timeout)
+	var ev connEvents
+	//lint:ignore lockheldio one exchange at a time per connection: the caller reads its own reply off the stream, so the lock spans the request write, the reply read and any redial before them
+	resp, wire, err := c.roundTripLocked(req, &ev)
+	c.mu.Unlock()
+	c.logEvents(ev)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -157,52 +144,139 @@ func (c *nodeClient) roundTripBytes(req *Request) (resp *Response, wire int64, e
 		c.cm.errors.Inc()
 		return nil, 0, fmt.Errorf("distsearch: node %s: %s", c.addr, resp.Err)
 	}
-	return resp, 0, nil
+	return resp, wire, nil
 }
 
-// exchangeLocked runs one encode/decode under an optional I/O deadline. Any
-// transport failure abandons the connection via breakLocked — the gob stream
-// is out of sync, so reusing it would pair stale responses with future
-// requests.
-func (c *nodeClient) exchangeLocked(req *Request, timeout time.Duration) (*Response, error) {
-	if timeout > 0 {
-		if err := c.conn.SetDeadline(now().Add(timeout)); err != nil {
-			c.breakLocked(err)
-			return nil, fmt.Errorf("distsearch: deadline on %s: %w", c.addr, err)
+// roundTripLocked redials a broken connection, then runs the exchange under
+// the round-trip deadline (the dial timeout for an undeadlined handshake).
+func (c *nodeClient) roundTripLocked(req *Request, ev *connEvents) (*Response, int64, error) {
+	if c.broken {
+		ev.redialed = true
+		if err := c.redialLocked(ev); err != nil {
+			ev.redialErr = err
+			return nil, 0, fmt.Errorf("distsearch: reconnect %s: %w", c.addr, err)
 		}
-		// Clear the deadline on every exit path so no later write on the
-		// connection can inherit an expired deadline (harmless no-op on
-		// the error paths, which close the socket anyway).
-		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	if err := c.enc.Encode(req); err != nil {
-		c.breakLocked(err)
-		return nil, fmt.Errorf("distsearch: send to %s: %w", c.addr, err)
+	timeout := c.rtTimeout
+	if req.Op == OpInfo && timeout <= 0 {
+		// DialOptions.Timeout bounds the OpInfo handshake even when
+		// round-trips are otherwise deadline-free.
+		timeout = c.dialTimeout
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		c.breakLocked(err)
-		return nil, fmt.Errorf("distsearch: recv from %s: %w", c.addr, err)
-	}
-	return &resp, nil
+	return c.exchangeLocked(req, timeout, ev)
 }
 
-// breakLocked records a transport failure and abandons the connection: every
-// failure increments the error counter, I/O timeouts additionally count as
-// deadline hits, and the socket is closed so a stale late reply cannot be
-// mistaken for the answer to a future request.
-func (c *nodeClient) breakLocked(err error) {
-	c.cm.errors.Inc()
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		c.cm.deadlineHits.Inc()
-		//lint:ignore lockheldio the event must be recorded before a queued request can observe (and redial) the broken conn, and Emit only touches the log's in-memory ring
+// connEvents collects one round-trip's transport lifecycle edges, recorded
+// under the connection mutex and logged by logEvents after it is released.
+type connEvents struct {
+	redialed bool
+	// redialErr is why the redial failed (nil: it succeeded).
+	redialErr error
+	// deadline reports that the round-trip deadline fired.
+	deadline bool
+	// poisoned is the failure that closed the connection for a redial.
+	poisoned error
+}
+
+func (c *nodeClient) logEvents(ev connEvents) {
+	if ev.redialed {
+		if ev.redialErr != nil {
+			c.ev.Warn("node.redial", evlog.Int("shard", int64(c.shardID)),
+				evlog.Str("addr", c.addr), evlog.Err(ev.redialErr))
+		} else {
+			c.ev.Info("node.redial", evlog.Int("shard", int64(c.shardID)), evlog.Str("addr", c.addr))
+		}
+	}
+	if ev.deadline {
 		c.ev.Warn("deadline.hit", evlog.Int("shard", int64(c.shardID)),
 			evlog.Str("addr", c.addr), evlog.Dur("timeout", c.rtTimeout))
 	}
-	//lint:ignore lockheldio same as above: poisoning and its event are one atomic state change under the per-connection mutex
-	c.ev.Warn("conn.poisoned", evlog.Int("shard", int64(c.shardID)),
-		evlog.Str("addr", c.addr), evlog.Err(err))
+	if ev.poisoned != nil {
+		c.ev.Warn("conn.poisoned", evlog.Int("shard", int64(c.shardID)),
+			evlog.Str("addr", c.addr), evlog.Err(ev.poisoned))
+	}
+}
+
+// exchangeLocked writes req as one frame under an optional I/O deadline and
+// reads frames until the reply with the request's ID. Earlier IDs are late
+// replies to timed-out requests: they are skipped and counted. It returns
+// the reply and the request plus reply frame sizes.
+func (c *nodeClient) exchangeLocked(req *Request, timeout time.Duration, ev *connEvents) (*Response, int64, error) {
+	s := &c.stream
+	c.lastID++
+	id := c.lastID
+	s.buf = encodeRequest(s.buf, id, req)
+	if err := endFrame(s.buf); err != nil {
+		c.cm.errors.Inc()
+		return nil, 0, fmt.Errorf("distsearch: request to %s: %w", c.addr, err)
+	}
+	sent := len(s.buf)
+	if timeout > 0 {
+		if err := s.conn.SetDeadline(now().Add(timeout)); err != nil {
+			c.breakLocked(err, ev)
+			return nil, 0, fmt.Errorf("distsearch: deadline on %s: %w", c.addr, err)
+		}
+		// Clear the deadline on every exit path so no later exchange can
+		// inherit an expired one.
+		defer func() { _ = s.conn.SetDeadline(time.Time{}) }()
+	}
+	if _, err := s.conn.Write(s.buf); err != nil {
+		c.breakLocked(err, ev)
+		return nil, 0, fmt.Errorf("distsearch: send to %s: %w", c.addr, err)
+	}
+	c.met.sent.Add(int64(sent))
+	for {
+		rid, frame, started, err := s.read()
+		if err != nil {
+			if !started && isTimeout(err) {
+				// No byte of the reply arrived, so the stream is still at a
+				// frame boundary: keep the connection, and let the next
+				// exchange skip the late reply by its ID.
+				c.cm.errors.Inc()
+				c.cm.deadlineHits.Inc()
+				ev.deadline = true
+				return nil, 0, fmt.Errorf("distsearch: recv from %s: %w", c.addr, err)
+			}
+			c.breakLocked(err, ev)
+			return nil, 0, fmt.Errorf("distsearch: recv from %s: %w", c.addr, err)
+		}
+		recv := frameHeaderLen + len(frame)
+		c.met.recv.Add(int64(recv))
+		if rid < id {
+			c.cm.staleReplies.Inc()
+			continue
+		}
+		resp := new(Response)
+		if rid == id {
+			err = decodeReply(frame, req.Op, resp)
+		} else {
+			err = fmt.Errorf("reply to request %d, want %d", rid, id)
+		}
+		if err != nil {
+			c.breakLocked(err, ev)
+			return nil, 0, fmt.Errorf("distsearch: recv from %s: %w", c.addr, err)
+		}
+		return resp, int64(sent + recv), nil
+	}
+}
+
+// isTimeout reports whether err is an I/O deadline expiry.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// breakLocked records a transport failure that left the stream position
+// unknown and abandons the connection: every failure increments the error
+// counter, I/O timeouts additionally count as deadline hits, and the
+// socket is closed so the next round-trip redials.
+func (c *nodeClient) breakLocked(err error, ev *connEvents) {
+	c.cm.errors.Inc()
+	if isTimeout(err) {
+		c.cm.deadlineHits.Inc()
+		ev.deadline = true
+	}
+	ev.poisoned = err
 	c.abandonLocked()
 }
 
@@ -211,47 +285,48 @@ func (c *nodeClient) breakLocked(err error) {
 func (c *nodeClient) abandonLocked() {
 	c.broken = true
 	//lint:ignore errdrop the connection is being abandoned; Close is best-effort
-	c.conn.Close()
+	c.stream.conn.Close()
 }
 
-// redialLocked replaces a broken connection with a fresh dial and handshake.
-// Fresh gob codecs are built on the new socket (the old stream state is
-// unusable) and wired through the existing byte counters. The node must
-// still present the same shard: a different shard ID or dimensionality at
-// the address means the cluster changed underneath the coordinator, whose
-// routing state (centroids, per-shard metric labels) would silently lie.
-func (c *nodeClient) redialLocked() error {
+// redialLocked replaces a broken connection with a fresh dial and handshake
+// on the same stream buffers. The node must still speak this protocol
+// version and present the same shard: a different shard ID or
+// dimensionality at the address means the cluster changed underneath the
+// coordinator, whose routing state (centroids, per-shard metric labels)
+// would silently lie.
+func (c *nodeClient) redialLocked(ev *connEvents) error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
 		c.cm.errors.Inc()
-		//lint:ignore lockheldio redial runs serialized under the per-connection mutex by design (see the roundTrip suppression); the event rides the same critical section
-		c.ev.Warn("node.redial", evlog.Int("shard", int64(c.shardID)),
-			evlog.Str("addr", c.addr), evlog.Err(err))
 		return err
 	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(&countingWriter{w: conn, c: c.met.sent, n: &c.wireBytes})
-	c.dec = gob.NewDecoder(&countingReader{r: conn, c: c.met.recv, n: &c.wireBytes})
+	c.stream.reset(conn)
 	c.broken = false
-	info, err := c.exchangeLocked(&Request{Op: OpInfo}, c.dialTimeout)
+	info, _, err := c.exchangeLocked(&Request{Op: OpInfo, Version: ProtocolVersion}, c.dialTimeout, ev)
 	if err != nil {
-		return err // exchangeLocked already re-abandoned the connection
+		if !c.broken {
+			// A handshake deadline left the connection open; a half-made
+			// redial must not be reused.
+			c.abandonLocked()
+		}
+		return err
 	}
-	if info.Err != "" {
-		c.cm.errors.Inc()
-		c.abandonLocked()
-		return fmt.Errorf("handshake rejected: %s", info.Err)
-	}
-	if info.ShardID != c.shardID || info.Dim != c.dim {
-		c.cm.errors.Inc()
-		c.abandonLocked()
-		return fmt.Errorf("node changed identity: shard %d dim %d, was shard %d dim %d",
+	switch {
+	case info.Err != "":
+		err = fmt.Errorf("handshake rejected: %s", info.Err)
+	case info.Version != ProtocolVersion:
+		err = checkVersion(info)
+	case info.ShardID != c.shardID || info.Dim != c.dim:
+		err = fmt.Errorf("node changed identity: shard %d dim %d, was shard %d dim %d",
 			info.ShardID, info.Dim, c.shardID, c.dim)
+	}
+	if err != nil {
+		c.cm.errors.Inc()
+		c.abandonLocked()
+		return err
 	}
 	c.size = info.Size
 	c.centroid = info.Centroid
-	//lint:ignore lockheldio see the redial suppression above: the success event belongs to the serialized repair critical section
-	c.ev.Info("node.redial", evlog.Int("shard", int64(c.shardID)), evlog.Str("addr", c.addr))
 	return nil
 }
 
@@ -259,12 +334,12 @@ func (c *nodeClient) redialLocked() error {
 // after a transport failure reports success.
 func (c *nodeClient) close() error {
 	c.mu.Lock()
-	if c.conn == nil || c.broken {
+	if c.stream.conn == nil || c.broken {
 		c.mu.Unlock()
 		return nil
 	}
 	c.broken = true
-	conn := c.conn
+	conn := c.stream.conn
 	c.mu.Unlock()
 	// Close outside the lock: a peer mid-teardown can stall Close, and
 	// nothing else touches the conn once broken is set.
@@ -302,8 +377,8 @@ func (co *Coordinator) SetLenient(lenient bool) { co.lenient = lenient }
 // requests carry Request.Grouped, asking each node to run the sub-batch
 // through the multi-query grouped cell scan (queries probing the same IVF
 // cell share one code stream). The result sets are identical either way —
-// the flag only changes node-side execution — so it is safe against old
-// nodes, which drop the unknown field and serve the batch per-query.
+// the flag only changes node-side execution — so it is safe against nodes
+// that ignore it and serve the batch per-query (counted as degrades).
 // Call before issuing searches; not synchronized with in-flight batches.
 func (co *Coordinator) SetGrouped(grouped bool) { co.grouped = grouped }
 
@@ -373,7 +448,7 @@ func DialOpts(addrs []string, opts DialOptions) (*Coordinator, error) {
 		} else if co.dim != c.dim {
 			_ = co.Close()
 			//lint:ignore errdrop dial is failing on a dim mismatch; Close is best-effort cleanup
-			c.conn.Close()
+			c.close()
 			return nil, fmt.Errorf("distsearch: node %s dim %d != %d", addr, c.dim, co.dim)
 		}
 		co.nodes = append(co.nodes, c)
@@ -465,9 +540,9 @@ type Result struct {
 	// SampleLatency and DeepLatency are the wall times of the two phases.
 	SampleLatency, DeepLatency time.Duration
 	// Cost is the query's assembled resource-attribution ledger: node-side
-	// cells/codes/scan-time from the wire responses (zeroes when every node
-	// predates the v6 ledger) plus the coordinator-measured wire bytes of
-	// the round-trips that served this query.
+	// cells/codes/scan-time from the wire responses (zeroes when no node
+	// ships ledger entries) plus the request and reply frame sizes of the
+	// round-trips that served this query.
 	Cost telemetry.QueryCost
 }
 

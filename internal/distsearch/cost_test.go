@@ -1,9 +1,6 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
-	"net"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
@@ -15,68 +12,7 @@ import (
 	"repro/internal/evlog"
 	"repro/internal/hermes"
 	"repro/internal/telemetry"
-	"repro/internal/vec"
 )
-
-// v5Response is the Response schema as of PR 8 — everything up to Families,
-// without the v6 Costs/GroupedExec appends — i.e. what a node running the
-// previous release encodes and decodes.
-type v5Response struct {
-	Err      string
-	Size     int
-	Dim      int
-	Centroid []float32
-	Results  []vec.Neighbor
-	Batch    [][]vec.Neighbor
-	ShardID  int
-	Applied  int64
-	Compacts int64
-	Scanned  int64
-	Spans    []WireSpan
-	Families []telemetry.FamilySnapshot
-}
-
-// TestResponseWireCompatV5V6 proves the Costs/GroupedExec append is
-// gob-compatible in both directions: a v6 response decodes on a v5
-// coordinator (new fields dropped), and a v5 response decodes on a v6
-// coordinator (no ledger, GroupedExec false — the degrade signal).
-func TestResponseWireCompatV5V6(t *testing.T) {
-	v6 := Response{
-		ShardID: 3,
-		Batch:   [][]vec.Neighbor{{{ID: 1, Score: 0.5}}},
-		Costs: []telemetry.QueryCost{
-			{Cells: 4, SharedCells: 1, CodesExclusive: 10, CodesAmortized: 6, ScanNanos: 99},
-		},
-		GroupedExec: true,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v6); err != nil {
-		t.Fatal(err)
-	}
-	var oldSide v5Response
-	if err := gob.NewDecoder(&buf).Decode(&oldSide); err != nil {
-		t.Fatalf("v5 peer failed to decode a v6 response: %v", err)
-	}
-	if oldSide.ShardID != 3 || len(oldSide.Batch) != 1 {
-		t.Errorf("v5 decode mangled fields: %+v", oldSide)
-	}
-
-	buf.Reset()
-	old := v5Response{ShardID: 1, Batch: [][]vec.Neighbor{{{ID: 7}}}, Scanned: 42}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var newSide Response
-	if err := gob.NewDecoder(&buf).Decode(&newSide); err != nil {
-		t.Fatalf("v6 peer failed to decode a v5 response: %v", err)
-	}
-	if newSide.ShardID != 1 || newSide.Scanned != 42 {
-		t.Errorf("v6 decode of v5 response: %+v", newSide)
-	}
-	if newSide.GroupedExec || newSide.Costs != nil {
-		t.Errorf("v5 response must decode with no ledger and GroupedExec false: %+v", newSide)
-	}
-}
 
 // TestSearchBatchTracedGroupedNoFallback is the tentpole acceptance: a traced
 // grouped batch executes the grouped path on every node (no per-query
@@ -211,16 +147,9 @@ func TestGroupedDegradeObservable(t *testing.T) {
 	}
 	defer node.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	serveV4Node(t, ln, 1, st.Shards[1].Index)
-
 	reg := telemetry.NewRegistry()
 	ev := evlog.New(evlog.Config{Capacity: 64})
-	co, err := DialOpts([]string{node.Addr(), ln.Addr().String()}, DialOptions{
+	co, err := DialOpts([]string{node.Addr(), servePerQueryNode(t, 1, st.Shards[1].Index)}, DialOptions{
 		Timeout: time.Second, Telemetry: reg, Grouped: true, Events: ev,
 	})
 	if err != nil {

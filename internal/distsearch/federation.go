@@ -36,9 +36,9 @@ type NodeFamilies struct {
 // ClusterMetrics pulls every node's metric export over OpMetricsSnap (in
 // parallel), merges them with the coordinator's own registry, and returns
 // the federated view. Federation is observability, not serving: a node that
-// cannot contribute — too old for the op, or currently unreachable — lands
-// in Missing instead of failing the snapshot, so a v(N-1) node behind a vN
-// coordinator degrades to a narrower view with no error.
+// cannot contribute — one that does not serve the op, or is currently
+// unreachable — lands in Missing instead of failing the snapshot, so the
+// view narrows with no error.
 func (co *Coordinator) ClusterMetrics() *ClusterView {
 	type pull struct {
 		shardID  int

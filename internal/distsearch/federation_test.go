@@ -1,8 +1,6 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -15,69 +13,12 @@ import (
 	"repro/internal/hermes"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
-	"repro/internal/vec"
 )
 
-// v3Response is the Response schema as of PR 4 — everything up to Spans,
-// without Families — i.e. what a node running the previous release encodes
-// and decodes.
-type v3Response struct {
-	Err                                       string
-	ShardID, Size, Dim                        int
-	Neighbors                                 []vec.Neighbor
-	Batch                                     [][]vec.Neighbor
-	Centroid                                  []float32
-	OK                                        bool
-	SampleServed, DeepServed, MutationsServed int64
-	Tombstones                                int
-	ServerNanos                               int64
-	Telemetry                                 map[string]float64
-	Scanned                                   int64
-	Spans                                     []WireSpan
-}
-
-// TestResponseWireCompatV3V4 proves the Families append is gob-compatible
-// in both directions: a v4 response decodes on a v3 peer (Families dropped),
-// and a v3 response decodes on a v4 peer (Families nil).
-func TestResponseWireCompatV3V4(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Counter("hermes_test_requests_total", "r").Add(7)
-	v4 := Response{
-		ShardID:  3,
-		Scanned:  42,
-		Spans:    []WireSpan{{Name: "list_scan", Node: 3, DurNanos: 5}},
-		Families: reg.Export(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v4); err != nil {
-		t.Fatal(err)
-	}
-	var oldSide v3Response
-	if err := gob.NewDecoder(&buf).Decode(&oldSide); err != nil {
-		t.Fatalf("v3 peer failed to decode a v4 response: %v", err)
-	}
-	if oldSide.ShardID != 3 || oldSide.Scanned != 42 || len(oldSide.Spans) != 1 {
-		t.Errorf("v3 decode mangled fields: %+v", oldSide)
-	}
-
-	buf.Reset()
-	old := v3Response{ShardID: 5, ServerNanos: 99, Scanned: 7}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var newSide Response
-	if err := gob.NewDecoder(&buf).Decode(&newSide); err != nil {
-		t.Fatalf("v4 peer failed to decode a v3 response: %v", err)
-	}
-	if newSide.ShardID != 5 || newSide.Scanned != 7 || newSide.Families != nil {
-		t.Errorf("v4 decode of v3 response: %+v", newSide)
-	}
-}
-
-// TestMixedVersionFederationDegrades runs a vN coordinator over one real
-// (current) node and one v2-era stub node: queries must keep working, and
-// ClusterMetrics must report the old shard as missing — local-only
-// degradation, never an error.
+// TestMixedVersionFederationDegrades runs a coordinator over one real node
+// and one minimal node that does not serve OpMetricsSnap: queries must keep
+// working, and ClusterMetrics must report the minimal shard as missing —
+// local-only degradation, never an error.
 func TestMixedVersionFederationDegrades(t *testing.T) {
 	const dim = 16
 	c, err := corpus.Generate(corpus.Spec{NumChunks: 400, Dim: dim, NumTopics: 2, Seed: 5})
@@ -99,30 +40,23 @@ func TestMixedVersionFederationDegrades(t *testing.T) {
 	}
 	defer node.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	serveV2Node(t, ln, 1, dim)
-
-	co, err := DialOpts([]string{node.Addr(), ln.Addr().String()},
+	co, err := DialOpts([]string{node.Addr(), serveMinimalNode(t, 1, dim)},
 		DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
 
-	// The old node still serves queries under the new coordinator.
+	// The minimal node serves queries.
 	p := hermes.DefaultParams()
 	p.DeepClusters = 2
 	if _, err := co.Search(c.Queries(1, 3).Vectors.Row(0), p); err != nil {
-		t.Fatalf("mixed-version query: %v", err)
+		t.Fatalf("query over the minimal node: %v", err)
 	}
 
 	view := co.ClusterMetrics()
 	if len(view.Missing) != 1 || view.Missing[0] != 1 {
-		t.Errorf("Missing = %v, want [1] (the v2 node)", view.Missing)
+		t.Errorf("Missing = %v, want [1] (the minimal node)", view.Missing)
 	}
 	if len(view.Nodes) != 1 || view.Nodes[0].ShardID != 0 {
 		t.Fatalf("contributing nodes = %+v, want shard 0 only", view.Nodes)
@@ -132,8 +66,8 @@ func TestMixedVersionFederationDegrades(t *testing.T) {
 		t.Errorf("merged view missing the real node's request counters: %v", flat)
 	}
 
-	// The degraded pull must not have poisoned the old node's connection:
-	// another query still works.
+	// The refused pull must not have poisoned the minimal node's
+	// connection: another query still works.
 	if _, err := co.Search(c.Queries(1, 4).Vectors.Row(0), p); err != nil {
 		t.Fatalf("query after degraded federation pull: %v", err)
 	}
@@ -216,8 +150,8 @@ func (p *delayProxy) forward(client net.Conn) {
 //  1. /metrics/cluster serves merged metrics from multiple real nodes;
 //  2. /debug/slo flips an objective from healthy to BURNING when one node
 //     is artificially slowed past the round-trip deadline;
-//  3. /debug/events shows the resulting deadline-hit (and poisoning)
-//     events.
+//  3. /debug/events shows the resulting deadline-hit events, and the slow
+//     node's late replies are skipped by request ID and counted.
 func TestClusterObservabilityEndToEnd(t *testing.T) {
 	const shards = 3
 	c, err := corpus.Generate(corpus.Spec{NumChunks: 900, Dim: 16, NumTopics: shards, Seed: 5})
@@ -347,11 +281,16 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("post-slowdown /debug/slo did not flip to BURNING:\n%s", sloPage)
 	}
 
-	// /debug/events: the deadline hits and poisonings are on the record.
+	// /debug/events: the deadline hits are on the record. The proxy holds
+	// whole replies back, so every deadline fires before a reply byte: the
+	// connection stays open and the late replies are skipped by ID.
 	_, evPage := scrape(t, srv.URL+"/debug/events")
-	for _, want := range []string{"deadline.hit", "conn.poisoned", "node.dial"} {
+	for _, want := range []string{"deadline.hit", "node.dial"} {
 		if !strings.Contains(evPage, want) {
 			t.Errorf("/debug/events missing %q:\n%s", want, evPage)
 		}
+	}
+	if got := co.m.staleReplies.Value(); got == 0 {
+		t.Error("the slowed node's late replies were not skipped and counted")
 	}
 }

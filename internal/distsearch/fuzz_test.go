@@ -1,130 +1,107 @@
 package distsearch
 
-// Fuzz targets for the two wire envelopes. Both ends of the protocol feed a
-// gob decoder straight from a TCP peer (Node.serveConn, Coordinator), so the
-// decode path must tolerate arbitrary bytes: a malformed or truncated stream
-// may only yield an error, never a panic or a runaway allocation. The seeds
-// are valid encodes of fully-populated envelopes plus deliberately corrupted
-// variants of them — truncation, bit flips, and an inflated gob length
-// prefix — so even `go test` (which runs only the seed corpus) exercises the
-// interesting classes.
+// Fuzz targets for the frame decoders. Both ends of the protocol decode
+// frames straight from a TCP peer (Node.serveConn, nodeClient), so a
+// malformed or truncated frame may only yield an error — never a panic, and
+// never an allocation larger than the bytes left in the frame. A frame that
+// decodes must re-encode to the same bytes (the gob bodies of OpStats and
+// OpMetricsSnap excepted: they must only re-encode). The seeds are one
+// valid frame per op plus truncated, bit-flipped, inflated-length and
+// inflated-count variants, so `go test` (which runs only the seed corpus)
+// exercises every class.
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"testing"
-
-	"repro/internal/telemetry"
-	"repro/internal/vec"
 )
 
-// fuzzInputCap bounds the byte stream handed to the decoder. gob length
-// prefixes are attacker-controlled, but the decoder's own allocation is
-// bounded by input length for the sizes we feed; the cap keeps the fuzz
-// engine from chasing multi-megabyte inputs that only slow exploration.
-const fuzzInputCap = 1 << 20
-
-// seedRequest is a fully-populated Request: every field non-zero so the gob
-// stream carries every field delta and the corrupted variants can land in
-// any of them.
-func seedRequest() *Request {
-	return &Request{
-		Op:      OpDeepBatch,
-		Query:   []float32{0.25, -1, 3.5},
-		K:       10,
-		NProbe:  32,
-		Queries: [][]float32{{1, 2}, {3, 4}},
-		ID:      -77,
-		TraceID: 0xfeedbeef,
-		Grouped: true,
+// addSeeds registers the valid frames, corrupted variants of the first
+// one — a truncated prefix, a flipped bit in the middle and near the end,
+// and length fields claiming more than follows and more than maxFrameLen —
+// the inflated-count frame, and the empty input.
+func addSeeds(f *testing.F, valid [][]byte, inflatedCount []byte) {
+	for _, v := range valid {
+		f.Add(v)
 	}
-}
-
-func seedResponse() *Response {
-	return &Response{
-		Err:          "boom",
-		ShardID:      3,
-		Size:         1024,
-		Dim:          8,
-		Neighbors:    []vec.Neighbor{{ID: 5, Score: 0.5}},
-		Batch:        [][]vec.Neighbor{{{ID: 1, Score: 1}}, nil},
-		Centroid:     []float32{0.1, 0.2},
-		OK:           true,
-		SampleServed: 9, DeepServed: 8, MutationsServed: 7,
-		Tombstones:  2,
-		ServerNanos: 12345,
-		Telemetry:   map[string]float64{"up": 1},
-		Scanned:     4096,
-		Spans:       []WireSpan{{Name: "list_scan", Node: 3, OffsetNanos: 10, DurNanos: 20}},
-		Families: []telemetry.FamilySnapshot{{
-			Name: "hermes_test_total", Kind: telemetry.KindCounter,
-			Series: []telemetry.SeriesSnapshot{{Value: 42}},
-		}},
-		Costs:       []telemetry.QueryCost{{Cells: 2, CodesExclusive: 100, CodesAmortized: 50}},
-		GroupedExec: true,
-	}
-}
-
-// mustEncode renders v as one gob stream (descriptors + value), the exact
-// bytes a fresh per-connection encoder would emit.
-func mustEncode(f *testing.F, v any) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		f.Fatalf("encoding seed: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// addSeeds registers the valid stream plus corrupted variants: a truncated
-// prefix, a flipped byte in the middle (type descriptor region) and near the
-// end (value region), and a rewritten first byte — gob's message length —
-// claiming a far larger payload than follows.
-func addSeeds(f *testing.F, valid []byte) {
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	for _, at := range []int{len(valid) / 2, len(valid) - 2} {
-		mut := bytes.Clone(valid)
+	first := valid[0]
+	f.Add(first[:len(first)/2])
+	for _, at := range []int{len(first) / 2, len(first) - 2} {
+		mut := bytes.Clone(first)
 		mut[at] ^= 0x40
 		f.Add(mut)
 	}
-	huge := bytes.Clone(valid)
-	huge[0] = 0x7f
-	f.Add(huge)
+	for _, n := range []uint32{uint32(len(first)) + 100, maxFrameLen + 1} {
+		mut := bytes.Clone(first)
+		binary.LittleEndian.PutUint32(mut, n)
+		f.Add(mut)
+	}
+	f.Add(inflatedCount)
 	f.Add([]byte{})
 }
 
+// inflatedCountFrame is a frame of op whose body is prefix, then an element
+// count of 1<<20 followed by only five bytes.
+func inflatedCountFrame(op Op, prefix ...byte) []byte {
+	b := beginFrame(nil, 1, op)
+	b = append(b, prefix...)
+	b = binary.AppendUvarint(b, 1<<20)
+	b = append(b, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
 func FuzzRequestDecode(f *testing.F) {
-	addSeeds(f, mustEncode(f, seedRequest()))
+	var valid [][]byte
+	for _, tc := range frameCases() {
+		valid = append(valid, requestFrame(f, 7, &tc.req))
+	}
+	// OpDeep: TraceID, K, NProbe, then the query's float count.
+	addSeeds(f, valid, inflatedCountFrame(OpDeep, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > fuzzInputCap {
-			t.Skip("beyond decode input cap")
-		}
-		var req Request
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		id, frame, _, err := bytesStream(data).read()
+		if err != nil {
 			return
 		}
-		// Anything that decoded must re-encode: the node echoes request
-		// fields (Queries alignment, TraceID) into its handling path and a
-		// decoded envelope that cannot round-trip would wedge serveConn.
-		if err := gob.NewEncoder(bytes.NewBuffer(nil)).Encode(&req); err != nil {
-			t.Fatalf("decoded Request does not re-encode: %v", err)
+		var req Request
+		if err := decodeRequest(frame, &req); err != nil {
+			return
+		}
+		if got := requestFrame(t, id, &req); !bytes.Equal(got, data[:frameHeaderLen+len(frame)]) {
+			t.Fatalf("request frame does not re-encode to its bytes:\n got %x\nwant %x", got, data[:frameHeaderLen+len(frame)])
 		}
 	})
 }
 
 func FuzzResponseDecode(f *testing.F) {
-	addSeeds(f, mustEncode(f, seedResponse()))
+	var valid [][]byte
+	for _, tc := range frameCases() {
+		valid = append(valid, replyFrame(f, 7, tc.req.Op, &tc.resp))
+	}
+	// OpDeep reply: ShardID, ServerNanos, Scanned, then the neighbor count.
+	addSeeds(f, valid, inflatedCountFrame(OpDeep, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > fuzzInputCap {
-			t.Skip("beyond decode input cap")
-		}
-		var resp Response
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
+		id, frame, _, err := bytesStream(data).read()
+		if err != nil {
 			return
 		}
-		if err := gob.NewEncoder(bytes.NewBuffer(nil)).Encode(&resp); err != nil {
-			t.Fatalf("decoded Response does not re-encode: %v", err)
+		op := Op(frame[0])
+		if op == opError {
+			op = OpDeep
+		}
+		var resp Response
+		if err := decodeReply(frame, op, &resp); err != nil {
+			return
+		}
+		got, err := encodeReply(nil, id, op, &resp, 0)
+		if err == nil {
+			err = endFrame(got)
+		}
+		if err != nil {
+			t.Fatalf("decoded reply does not re-encode: %v", err)
+		}
+		if op != OpStats && op != OpMetricsSnap && !bytes.Equal(got, data[:frameHeaderLen+len(frame)]) {
+			t.Fatalf("reply frame does not re-encode to its bytes:\n got %x\nwant %x", got, data[:frameHeaderLen+len(frame)])
 		}
 	})
 }

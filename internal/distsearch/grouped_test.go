@@ -1,9 +1,6 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
-	"net"
 	"reflect"
 	"strconv"
 	"testing"
@@ -15,55 +12,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
-
-// v4Request is the Request schema as of PR 7 — everything up to TraceID,
-// without Grouped — i.e. what a node running the previous release decodes.
-type v4Request struct {
-	Op      Op
-	Query   []float32
-	K       int
-	NProbe  int
-	Queries [][]float32
-	ID      int64
-	TraceID uint64
-}
-
-// TestRequestWireCompatV4V5 proves the Grouped append is gob-compatible in
-// both directions: a v5 request decodes on a v4 peer (Grouped dropped), and
-// a v4 request decodes on a v5 peer (Grouped false).
-func TestRequestWireCompatV4V5(t *testing.T) {
-	v5 := Request{
-		Op:      OpDeepBatch,
-		K:       4,
-		NProbe:  8,
-		Queries: [][]float32{{1, 2}, {3, 4}},
-		Grouped: true,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v5); err != nil {
-		t.Fatal(err)
-	}
-	var oldSide v4Request
-	if err := gob.NewDecoder(&buf).Decode(&oldSide); err != nil {
-		t.Fatalf("v4 peer failed to decode a v5 request: %v", err)
-	}
-	if oldSide.Op != OpDeepBatch || oldSide.K != 4 || len(oldSide.Queries) != 2 {
-		t.Errorf("v4 decode mangled fields: %+v", oldSide)
-	}
-
-	buf.Reset()
-	old := v4Request{Op: OpSampleBatch, NProbe: 2, Queries: [][]float32{{5, 6}}}
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	var newSide Request
-	if err := gob.NewDecoder(&buf).Decode(&newSide); err != nil {
-		t.Fatalf("v5 peer failed to decode a v4 request: %v", err)
-	}
-	if newSide.Op != OpSampleBatch || newSide.Grouped {
-		t.Errorf("v5 decode of v4 request: %+v", newSide)
-	}
-}
 
 // groupedCluster builds a store, serves every shard from a real node, and
 // returns a coordinator plus the per-node registries.
@@ -152,62 +100,38 @@ func TestSearchBatchGroupedWire(t *testing.T) {
 	}
 }
 
-// serveV4Node runs an "old release" node for shard shardID backed by a real
-// index: it decodes the v4 request schema (no Grouped field — gob drops the
-// new coordinator's flag on the floor) and serves batch ops per-query, the
-// pre-grouping behavior.
-func serveV4Node(t *testing.T, ln net.Listener, shardID int, ix *ivf.Index) {
-	t.Helper()
-	//lint:ignore goroutinectx accept loop exits when the test's deferred ln.Close unblocks Accept
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+// servePerQueryNode runs a fake node for shard shardID backed by a real
+// index that ignores Request.Grouped: it serves batch ops per-query and
+// leaves Response.GroupedExec false, the degrade the coordinator counts.
+func servePerQueryNode(t *testing.T, shardID int, ix *ivf.Index) string {
+	return serveFrames(t, func(_ int, req *Request) *Response {
+		resp := &Response{ShardID: shardID}
+		switch req.Op {
+		case OpInfo:
+			resp = fakeInfo(shardID, ix.Dim())
+			resp.Size = ix.Len()
+		case OpSampleBatch:
+			resp.Batch = make([][]vec.Neighbor, len(req.Queries))
+			for i, q := range req.Queries {
+				resp.Batch[i] = ix.Search(q, 1, req.NProbe)
 			}
-			//lint:ignore goroutinectx per-conn handler exits when the coordinator closes the conn at test end
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req v4Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := Response{ShardID: shardID}
-					switch req.Op {
-					case OpInfo:
-						resp.Size = ix.Len()
-						resp.Dim = ix.Dim()
-						resp.Centroid = make([]float32, ix.Dim())
-					case OpSampleBatch:
-						resp.Batch = make([][]vec.Neighbor, len(req.Queries))
-						for i, q := range req.Queries {
-							resp.Batch[i] = ix.Search(q, 1, req.NProbe)
-						}
-					case OpDeepBatch:
-						resp.Batch = make([][]vec.Neighbor, len(req.Queries))
-						for i, q := range req.Queries {
-							resp.Batch[i] = ix.Search(q, req.K, req.NProbe)
-						}
-					default:
-						resp.Err = "unsupported op"
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
+		case OpDeepBatch:
+			resp.Batch = make([][]vec.Neighbor, len(req.Queries))
+			for i, q := range req.Queries {
+				resp.Batch[i] = ix.Search(q, req.K, req.NProbe)
+			}
+		default:
+			resp.Err = "unsupported op"
 		}
-	}()
+		return resp
+	})
 }
 
 // TestGroupedOldNodeDegrades runs a grouped coordinator over a mixed
-// cluster — one current node and one previous-release node that has never
-// heard of Request.Grouped — and requires the batch to come back identical
-// to the all-per-query answer. The old node silently drops the flag and
-// serves per-query; no error, no result drift.
+// cluster — one real node and one node that ignores Request.Grouped — and
+// requires the batch to come back identical to the all-per-query answer.
+// The per-query node serves the batch without the grouped scan; no error,
+// no result drift.
 func TestGroupedOldNodeDegrades(t *testing.T) {
 	const shards = 2
 	c, err := corpus.Generate(corpus.Spec{NumChunks: 700, Dim: 16, NumTopics: shards, Seed: 13})
@@ -228,14 +152,7 @@ func TestGroupedOldNodeDegrades(t *testing.T) {
 	}
 	defer node.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	serveV4Node(t, ln, 1, st.Shards[1].Index)
-
-	addrs := []string{node.Addr(), ln.Addr().String()}
+	addrs := []string{node.Addr(), servePerQueryNode(t, 1, st.Shards[1].Index)}
 	qs := c.Queries(10, 29)
 	queries := make([][]float32, qs.Vectors.Len())
 	for i := range queries {

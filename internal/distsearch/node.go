@@ -1,7 +1,6 @@
 package distsearch
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -16,29 +15,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
-
-// arrivalReader timestamps the first byte read after each reset, giving the
-// serving loop the request's wire-arrival time so the decode span starts
-// when bytes hit the node, not when gob returns. The protocol strictly
-// serializes request/response per connection (the coordinator holds the
-// connection mutex across a round-trip), so gob's internal read-ahead can
-// never have consumed the next request's first byte before reset is called.
-type arrivalReader struct {
-	r       io.Reader
-	armed   bool
-	arrival time.Time
-}
-
-func (a *arrivalReader) Read(p []byte) (int, error) {
-	n, err := a.r.Read(p)
-	if a.armed && n > 0 {
-		a.arrival = now()
-		a.armed = false
-	}
-	return n, err
-}
-
-func (a *arrivalReader) reset() { a.armed = true }
 
 // Node serves one shard's IVF index over TCP.
 type Node struct {
@@ -144,48 +120,42 @@ func (n *Node) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		n.ev.Info("conn.close", evlog.Int("shard", int64(n.shardID)), evlog.Str("remote", conn.RemoteAddr().String()))
 	}()
-	ar := &arrivalReader{r: conn}
-	dec := gob.NewDecoder(ar)
-	enc := gob.NewEncoder(conn)
+	var s frameStream
+	s.reset(conn)
 	for {
-		ar.reset()
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		// Wait for the next request's first byte: the decode span starts
+		// when bytes reach the node, not when the frame is complete.
+		if _, err := s.r.Peek(1); err != nil {
 			if !errors.Is(err, io.EOF) && !n.isClosed() {
-				n.logger.Printf("node %d decode: %v", n.shardID, err)
-				n.ev.Warn("conn.decode_error", evlog.Int("shard", int64(n.shardID)), evlog.Err(err))
+				n.connError("conn.decode_error", err)
 			}
 			return
 		}
-		start := now()
-		arrival := start
-		if !ar.armed && ar.arrival.Before(start) {
-			arrival = ar.arrival
+		arrival := now()
+		id, frame, _, err := s.read()
+		var req Request
+		if err == nil {
+			err = decodeRequest(frame, &req)
 		}
-		resp := n.handle(&req, arrival, start)
+		start := now()
+		var resp *Response
+		switch {
+		case err == nil:
+			resp = n.handle(&req, arrival, start)
+		case errors.Is(err, errUnknownOp):
+			resp = &Response{Err: fmt.Sprintf("node %d: unknown op %d", n.shardID, req.Op)}
+		default:
+			if !n.isClosed() {
+				n.connError("conn.decode_error", err)
+			}
+			return
+		}
 		served := now().Sub(start)
 		resp.ServerNanos = served.Nanoseconds()
 		n.met.observe(req.Op, served, req.TraceID)
-		if req.TraceID != 0 && len(resp.Spans) > 0 {
-			// The encode span cannot be measured around the real Encode
-			// below — it must already be inside the response it times — so
-			// it is approximated by a discard-encode pre-pass of the final
-			// payload. A fresh encoder re-transmits gob type descriptors,
-			// making this a slight upper bound on the steady-state cost.
-			encStart := now()
-			if err := gob.NewEncoder(io.Discard).Encode(resp); err == nil {
-				resp.Spans = append(resp.Spans, WireSpan{
-					Name:        "encode",
-					Node:        n.shardID,
-					OffsetNanos: encStart.Sub(arrival).Nanoseconds(),
-					DurNanos:    now().Sub(encStart).Nanoseconds(),
-				})
-			}
-		}
-		if err := enc.Encode(resp); err != nil {
+		if err := n.reply(&s, id, req.Op, resp, arrival); err != nil {
 			if !n.isClosed() {
-				n.logger.Printf("node %d encode: %v", n.shardID, err)
-				n.ev.Warn("conn.encode_error", evlog.Int("shard", int64(n.shardID)), evlog.Err(err))
+				n.connError("conn.encode_error", err)
 			}
 			return
 		}
@@ -194,6 +164,48 @@ func (n *Node) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// reply encodes resp as one frame and writes it. A traced reply's encode
+// span times the real encode of everything before it and is appended as
+// the frame's last record. A reply that cannot be encoded (an oversized
+// frame, a gob failure) is answered with an error frame instead.
+func (n *Node) reply(s *frameStream, id uint64, op Op, resp *Response, arrival time.Time) error {
+	traced := resp.Err == "" && len(resp.Spans) > 0
+	extra := 0
+	var encStart time.Time
+	if traced {
+		extra = 1
+		encStart = now()
+	}
+	buf, err := encodeReply(s.buf, id, op, resp, extra)
+	if err == nil && traced {
+		buf = appendSpan(buf, WireSpan{
+			Name:        "encode",
+			Node:        n.shardID,
+			OffsetNanos: encStart.Sub(arrival).Nanoseconds(),
+			DurNanos:    now().Sub(encStart).Nanoseconds(),
+		})
+	}
+	if err == nil {
+		err = endFrame(buf)
+	}
+	if err != nil {
+		buf = beginFrame(buf, id, opError)
+		buf = appendString(buf, fmt.Sprintf("node %d: encode reply: %v", n.shardID, err))
+		if err := endFrame(buf); err != nil {
+			return err
+		}
+	}
+	s.buf = buf
+	_, err = s.conn.Write(buf)
+	return err
+}
+
+// connError logs a failure that ends the connection under the event name.
+func (n *Node) connError(event string, err error) {
+	n.logger.Printf("node %d %s: %v", n.shardID, event, err)
+	n.ev.Warn(event, evlog.Int("shard", int64(n.shardID)), evlog.Err(err))
 }
 
 func (n *Node) handle(req *Request, arrival, decodeDone time.Time) *Response {
@@ -207,7 +219,10 @@ func (n *Node) handle(req *Request, arrival, decodeDone time.Time) *Response {
 	}
 	switch req.Op {
 	case OpInfo:
-		return &Response{ShardID: n.shardID, Size: n.index.Len(), Dim: n.index.Dim(), Centroid: n.meanCentroid()}
+		if req.Version != ProtocolVersion {
+			return &Response{Err: fmt.Sprintf("node %d: coordinator speaks frame protocol v%d, node v%d", n.shardID, req.Version, ProtocolVersion)}
+		}
+		return &Response{ShardID: n.shardID, Size: n.index.Len(), Dim: n.index.Dim(), Version: ProtocolVersion, Centroid: n.meanCentroid()}
 	case OpSample:
 		if len(req.Query) != n.index.Dim() {
 			return &Response{Err: fmt.Sprintf("node %d: query dim %d != %d", n.shardID, len(req.Query), n.index.Dim())}
@@ -420,8 +435,8 @@ func (n *Node) groupedBatch(req *Request, k, nProbe int, arrival, decodeDone tim
 // tracedSpans lays the node-side phases out as wire spans with offsets
 // relative to the request's wire arrival: decode, then (from scanStart,
 // which also covers any index-lock wait) probe_select, list_scan, and
-// topk_merge back to back. The encode span is appended by serveConn once
-// the response payload is final.
+// topk_merge back to back. The encode span is appended to the reply frame
+// by reply, after the rest of the frame is encoded.
 func (n *Node) tracedSpans(arrival, decodeDone, scanStart time.Time, ph ivf.PhaseNanos) []WireSpan {
 	sel := scanStart.Sub(arrival).Nanoseconds()
 	scan := sel + ph.Select

@@ -1,9 +1,7 @@
 package distsearch
 
 import (
-	"io"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -57,6 +55,7 @@ type coordMetrics struct {
 	inflight     *telemetry.Gauge
 	errors       *telemetry.Counter
 	deadlineHits *telemetry.Counter
+	staleReplies *telemetry.Counter
 	queries      *telemetry.Counter
 	phaseSample  *telemetry.Histogram
 	phaseDeep    *telemetry.Histogram
@@ -64,8 +63,8 @@ type coordMetrics struct {
 	byOp         map[Op]*telemetry.Counter
 
 	// groupDegrades counts grouped batch requests a node served without
-	// grouped execution (Response.GroupedExec false — a pre-v6 node that
-	// dropped the Grouped flag and ran per-query). Previously invisible.
+	// grouped execution (Response.GroupedExec false: the node ignored the
+	// Grouped flag and ran per-query).
 	groupDegrades *telemetry.Counter
 
 	// Per-query cost-ledger histograms (hermes_query_cost_*): one observation
@@ -88,6 +87,8 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 			"failed round-trips (all causes, including deadline hits)"),
 		deadlineHits: reg.Counter("hermes_distsearch_deadline_hits_total",
 			"round-trips aborted by the per-request I/O deadline"),
+		staleReplies: reg.Counter("hermes_distsearch_stale_replies_total",
+			"late replies to timed-out requests, skipped by request ID"),
 		queries: reg.Counter("hermes_coordinator_queries_total",
 			"hierarchical queries executed by this coordinator"),
 		phaseSample: reg.Histogram("hermes_coordinator_phase_seconds",
@@ -99,7 +100,7 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 			"queries per SearchBatch call", telemetry.DefSizeBuckets),
 		byOp: make(map[Op]*telemetry.Counter, len(allOps)),
 		groupDegrades: reg.Counter("hermes_coordinator_group_degrade_total",
-			"grouped batch requests a node degraded to per-query execution (pre-v6 node)"),
+			"grouped batch requests a node degraded to per-query execution"),
 		costScan: reg.Histogram("hermes_query_cost_scan_seconds",
 			"per-query attributed scan time (codes-proportional share of measured scan phases; traced queries only)",
 			telemetry.DefLatencyBuckets),
@@ -170,42 +171,6 @@ func newClientMetrics(reg *telemetry.Registry, shardID int) clientMetrics {
 		deepTotal: reg.Counter("hermes_coordinator_shard_deep_total",
 			"deep searches this coordinator sent to each shard (the live Fig. 13 load view)", "shard", node),
 	}
-}
-
-// countingWriter / countingReader feed the wire byte counters; they wrap the
-// connection underneath the gob codec so encoded sizes are measured exactly.
-// n, when set, additionally accumulates into a per-connection total the
-// coordinator reads before/after a round-trip for exact per-request byte
-// deltas (the per-connection mutex serializes exchanges, so a delta is
-// attributable to exactly one request).
-type countingWriter struct {
-	w io.Writer
-	c *telemetry.Counter
-	n *atomic.Int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(int64(n))
-	if cw.n != nil {
-		cw.n.Add(int64(n))
-	}
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	c *telemetry.Counter
-	n *atomic.Int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(int64(n))
-	if cr.n != nil {
-		cr.n.Add(int64(n))
-	}
-	return n, err
 }
 
 // nodeMetrics are the node-side handles (one table per served shard).

@@ -1,8 +1,6 @@
 package distsearch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"strings"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/evlog"
 	"repro/internal/hermes"
 	"repro/internal/telemetry"
 	"repro/internal/vec"
@@ -133,6 +132,30 @@ func TestTracedQueryProducesOneSpanPerPhase(t *testing.T) {
 	if !strings.Contains(tr.Breakdown(), "sample_scatter=") {
 		t.Errorf("breakdown missing phase: %s", tr.Breakdown())
 	}
+
+	// The encode span times the node's real encode of the reply frame: it
+	// is the reply's last span, measured, and starts after topk_merge ends
+	// (offsets within one reply share the node's request start).
+	for _, op := range []Op{OpSample, OpDeep} {
+		resp, err := co.nodes[0].roundTrip(&Request{Op: op, Query: qs.Vectors.Row(0), K: p.K, NProbe: p.DeepNProbe, TraceID: tr.ID()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]WireSpan)
+		for _, ws := range resp.Spans {
+			byName[ws.Name] = ws
+		}
+		enc, ok := byName["encode"]
+		merge := byName["topk_merge"]
+		switch {
+		case !ok || resp.Spans[len(resp.Spans)-1].Name != "encode":
+			t.Errorf("%s reply spans %+v do not end with encode", opName(op), resp.Spans)
+		case enc.DurNanos <= 0:
+			t.Errorf("%s encode span DurNanos = %d, want > 0", opName(op), enc.DurNanos)
+		case enc.OffsetNanos < merge.OffsetNanos+merge.DurNanos:
+			t.Errorf("%s encode offset %d before topk_merge ends at %d", opName(op), enc.OffsetNanos, merge.OffsetNanos+merge.DurNanos)
+		}
+	}
 }
 
 // TestCoordinatorMetrics checks the request counters, per-node round-trip
@@ -222,47 +245,13 @@ func TestOpStatsReturnsTelemetrySnapshot(t *testing.T) {
 // hangingNode answers the OpInfo handshake correctly, then swallows every
 // subsequent request without replying — the failure mode the per-round-trip
 // deadline exists for.
-func hangingNode(t *testing.T, dim int) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+func hangingNode(t *testing.T, dim int) string {
+	return serveFrames(t, func(_ int, req *Request) *Response {
+		if req.Op == OpInfo {
+			return fakeInfo(0, dim)
 		}
-		defer func() { _ = conn.Close() }()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			if req.Op == OpInfo {
-				if err := enc.Encode(&Response{ShardID: 0, Size: 1, Dim: dim, Centroid: make([]float32, dim)}); err != nil {
-					return
-				}
-				continue
-			}
-			// Hang: never respond, just wait for shutdown.
-			<-done
-			return
-		}
-	}()
-	return ln.Addr().String(), func() {
-		close(done)
-		if err := ln.Close(); err != nil {
-			t.Errorf("close hanging listener: %v", err)
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 }
 
 // TestRoundTripDeadlineUnsticksHungNode is the satellite fix: without
@@ -270,8 +259,7 @@ func hangingNode(t *testing.T, dim int) (addr string, stop func()) {
 // accepted the connection and went silent.
 func TestRoundTripDeadlineUnsticksHungNode(t *testing.T) {
 	const dim = 16
-	addr, stop := hangingNode(t, dim)
-	defer stop()
+	addr := hangingNode(t, dim)
 
 	reg := telemetry.NewRegistry()
 	co, err := DialOpts([]string{addr}, DialOptions{
@@ -303,18 +291,48 @@ func TestRoundTripDeadlineUnsticksHungNode(t *testing.T) {
 	}
 }
 
-// staleReplyNode accepts connections in a loop. On the first connection it
-// answers the OpInfo handshake, then delays the reply to the next request
-// past the caller's deadline before writing it — the late response of a
-// timed-out request. Later connections answer the handshake and serve
-// samples immediately with a distinguishable document ID.
-func staleReplyNode(t *testing.T, dim int, delay time.Duration) (addr string, stop func()) {
+// staleReplyNode answers the OpInfo handshake, delays the reply to the
+// first sample past the caller's deadline (ID 111: the late reply of a
+// timed-out request), and answers every later sample at once with ID 222.
+// late is closed as the delayed reply is handed to the connection.
+func staleReplyNode(t *testing.T, dim int, delay time.Duration) (addr string, late <-chan struct{}) {
+	lateCh := make(chan struct{})
+	var once sync.Once
+	addr = serveFrames(t, func(_ int, req *Request) *Response {
+		switch req.Op {
+		case OpInfo:
+			return fakeInfo(0, dim)
+		case OpSample:
+			first := false
+			once.Do(func() { first = true })
+			if first {
+				time.Sleep(delay)
+				close(lateCh)
+				return &Response{Neighbors: []vec.Neighbor{{ID: 111}}}
+			}
+			return &Response{Neighbors: []vec.Neighbor{{ID: 222}}}
+		}
+		return &Response{Err: "unexpected op"}
+	})
+	return addr, lateCh
+}
+
+// midFrameNode answers the OpInfo handshake; on its first connection it
+// then writes only the first bytes of the first sample reply and stalls.
+// Every later connection answers samples at once with ID 222.
+func midFrameNode(t *testing.T, dim int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
 	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(done)
+		_ = ln.Close()
+		wg.Wait()
+	})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -327,197 +345,126 @@ func staleReplyNode(t *testing.T, dim int, delay time.Duration) (addr string, st
 			go func(conn net.Conn, connIdx int) {
 				defer wg.Done()
 				defer func() { _ = conn.Close() }()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
+				var s frameStream
+				s.reset(conn)
 				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
+					id, frame, _, err := s.read()
+					if err != nil {
 						return
 					}
-					var resp Response
-					switch req.Op {
-					case OpInfo:
-						resp = Response{ShardID: 0, Size: 1, Dim: dim, Centroid: make([]float32, dim)}
-					case OpSample:
-						if connIdx == 0 {
-							time.Sleep(delay)
-							resp = Response{Neighbors: []vec.Neighbor{{ID: 111}}}
-						} else {
-							resp = Response{Neighbors: []vec.Neighbor{{ID: 222}}}
-						}
-					default:
-						resp = Response{Err: "unexpected op"}
+					var req Request
+					if err := decodeRequest(frame, &req); err != nil {
+						return
 					}
-					if err := enc.Encode(&resp); err != nil {
+					resp := fakeInfo(0, dim)
+					if req.Op == OpSample {
+						resp = &Response{Neighbors: []vec.Neighbor{{ID: 222}}}
+					}
+					buf, err := encodeReply(s.buf, id, req.Op, resp, 0)
+					if err != nil || endFrame(buf) != nil {
+						return
+					}
+					s.buf = buf
+					if req.Op == OpSample && connIdx == 0 {
+						_, _ = conn.Write(buf[:5])
+						<-done
+						return
+					}
+					if _, err := conn.Write(buf); err != nil {
 						return
 					}
 				}
 			}(conn, connIdx)
 		}
 	}()
-	return ln.Addr().String(), func() {
-		if err := ln.Close(); err != nil {
-			t.Errorf("close stale-reply listener: %v", err)
-		}
-		wg.Wait()
-	}
+	return ln.Addr().String()
 }
 
-// TestTimeoutPoisonsConnection is the stale-response regression test: the
-// wire protocol has no correlation ID, so after a deadline timeout the
-// coordinator must abandon the connection — otherwise the node's late reply
-// (ID 111 here) would be silently decoded as the answer to the NEXT request.
-// The retry must instead redial and receive the fresh reply (ID 222).
+// TestTimeoutPoisonsConnection pins which deadline expiries poison a
+// connection. One that fires before any byte of the reply leaves the
+// stream at a frame boundary: the retry runs on the same connection, skips
+// the node's late reply (ID 111) by its request ID, counts it, and gets
+// the fresh reply (ID 222) without a redial. One that fires mid-frame
+// leaves the stream position unknown: the connection is poisoned and the
+// retry redials.
 func TestTimeoutPoisonsConnection(t *testing.T) {
 	const dim = 8
-	const delay = 400 * time.Millisecond
-	addr, stop := staleReplyNode(t, dim, delay)
-	defer stop()
-
-	reg := telemetry.NewRegistry()
-	co, err := DialOpts([]string{addr}, DialOptions{
-		Timeout:          time.Second,
-		RoundTripTimeout: 100 * time.Millisecond,
-		Telemetry:        reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = co.Close() }()
-	n := co.nodes[0]
-
 	q := make([]float32, dim)
-	if _, err := n.roundTrip(&Request{Op: OpSample, Query: q, NProbe: 1}); err == nil {
-		t.Fatal("round-trip against the delayed node must time out")
+	dial := func(t *testing.T, addr string) (*nodeClient, *telemetry.Registry, *evlog.Log) {
+		reg := telemetry.NewRegistry()
+		ev := evlog.New(evlog.Config{Capacity: 64})
+		co, err := DialOpts([]string{addr}, DialOptions{
+			Timeout:          time.Second,
+			RoundTripTimeout: 100 * time.Millisecond,
+			Telemetry:        reg,
+			Events:           ev,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = co.Close() })
+		return co.nodes[0], reg, ev
 	}
-	// Let the node write its late reply (onto the now-closed socket) so it
-	// would be sitting first in the stream if the connection were reused.
-	time.Sleep(delay + 100*time.Millisecond)
-
-	resp, err := n.roundTrip(&Request{Op: OpSample, Query: q, NProbe: 1})
-	if err != nil {
-		t.Fatalf("retry after timeout must redial and succeed: %v", err)
-	}
-	if len(resp.Neighbors) != 1 || resp.Neighbors[0].ID != 222 {
-		t.Fatalf("retry served a stale response: %+v", resp.Neighbors)
-	}
-	snap := reg.Snapshot()
-	if got := snap["hermes_distsearch_deadline_hits_total"]; got < 1 {
-		t.Errorf("deadline hits = %v, want >= 1", got)
-	}
-}
-
-// TestRequestWireCompat proves the TraceID/ServerNanos/Telemetry envelope
-// extensions are gob-compatible with the v1 protocol in both directions.
-func TestRequestWireCompat(t *testing.T) {
-	// v1 shapes as they existed before this change.
-	type RequestV1 struct {
-		Op      Op
-		Query   []float32
-		K       int
-		NProbe  int
-		Queries [][]float32
-		ID      int64
-	}
-	type ResponseV1 struct {
-		Err                                       string
-		ShardID, Size, Dim                        int
-		SampleServed, DeepServed, MutationsServed int64
-		Tombstones                                int
+	countEvents := func(ev *evlog.Log, name string) int {
+		n := 0
+		for _, e := range ev.Events() {
+			if e.Name == name {
+				n++
+			}
+		}
+		return n
 	}
 
-	// New coordinator -> old node: TraceID is silently dropped.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Request{Op: OpSample, K: 5, TraceID: 42}); err != nil {
-		t.Fatal(err)
-	}
-	var v1req RequestV1
-	if err := gob.NewDecoder(&buf).Decode(&v1req); err != nil {
-		t.Fatalf("old node cannot decode new request: %v", err)
-	}
-	if v1req.Op != OpSample || v1req.K != 5 {
-		t.Errorf("v1 decode mangled fields: %+v", v1req)
-	}
+	t.Run("before reply", func(t *testing.T) {
+		addr, late := staleReplyNode(t, dim, 300*time.Millisecond)
+		n, reg, ev := dial(t, addr)
+		conn := n.stream.conn
+		if _, err := n.roundTrip(&Request{Op: OpSample, Query: q, NProbe: 1}); err == nil {
+			t.Fatal("round-trip against the delayed node must time out")
+		}
+		// Retry once the node sends its late reply: it arrives first on
+		// the connection, ahead of the retry's own.
+		<-late
 
-	// Old node -> new coordinator: extensions decode to zero values.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&ResponseV1{ShardID: 3, Size: 100}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-		t.Fatalf("new coordinator cannot decode old response: %v", err)
-	}
-	if resp.ShardID != 3 || resp.Size != 100 {
-		t.Errorf("decode mangled fields: %+v", resp)
-	}
-	if resp.ServerNanos != 0 || resp.Telemetry != nil {
-		t.Errorf("extensions must decode to zero values: %+v", resp)
-	}
-}
+		resp, err := n.roundTrip(&Request{Op: OpSample, Query: q, NProbe: 1})
+		if err != nil {
+			t.Fatalf("retry after timeout must succeed: %v", err)
+		}
+		if len(resp.Neighbors) != 1 || resp.Neighbors[0].ID != 222 {
+			t.Fatalf("retry served a stale response: %+v", resp.Neighbors)
+		}
+		snap := reg.Snapshot()
+		if got := snap["hermes_distsearch_deadline_hits_total"]; got != 1 {
+			t.Errorf("deadline hits = %v, want 1", got)
+		}
+		if got := snap["hermes_distsearch_stale_replies_total"]; got != 1 {
+			t.Errorf("stale replies = %v, want 1", got)
+		}
+		if n.stream.conn != conn || countEvents(ev, "node.redial") != 0 || countEvents(ev, "conn.poisoned") != 0 {
+			t.Errorf("a deadline before the reply must not redial (same conn %v, events %d redial %d poisoned)",
+				n.stream.conn == conn, countEvents(ev, "node.redial"), countEvents(ev, "conn.poisoned"))
+		}
+	})
 
-// TestResponseWireCompatV2V3 proves the Scanned/Spans v3 response extensions
-// are gob-compatible with span-less v2 peers in both directions: a v2 node's
-// response decodes under the new coordinator with nil Spans (empty waterfall,
-// not an error), and a v3 response with spans decodes cleanly under a v2-era
-// struct, which simply drops the new fields.
-func TestResponseWireCompatV2V3(t *testing.T) {
-	// The v2 response shape as it existed before Scanned/Spans.
-	type ResponseV2 struct {
-		Err                                       string
-		ShardID, Size, Dim                        int
-		Neighbors                                 []vec.Neighbor
-		Batch                                     [][]vec.Neighbor
-		Centroid                                  []float32
-		OK                                        bool
-		SampleServed, DeepServed, MutationsServed int64
-		Tombstones                                int
-		ServerNanos                               int64
-		Telemetry                                 map[string]float64
-	}
-
-	// v2 node -> new coordinator: Spans stays nil, Scanned stays zero.
-	var buf bytes.Buffer
-	v2 := ResponseV2{
-		ShardID:     2,
-		Size:        500,
-		Neighbors:   []vec.Neighbor{{ID: 7, Score: 0.9}},
-		ServerNanos: 1234,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := gob.NewDecoder(&buf).Decode(&resp); err != nil {
-		t.Fatalf("new coordinator cannot decode v2 response: %v", err)
-	}
-	if resp.ShardID != 2 || resp.Size != 500 || resp.ServerNanos != 1234 || len(resp.Neighbors) != 1 {
-		t.Errorf("decode mangled v2 fields: %+v", resp)
-	}
-	if resp.Spans != nil || resp.Scanned != 0 {
-		t.Errorf("v3 extensions must decode to zero values from a v2 response: %+v", resp)
-	}
-
-	// v3 node -> v2 coordinator: spans and scanned counts are dropped, the
-	// rest decodes untouched.
-	buf.Reset()
-	v3 := Response{
-		ShardID: 4,
-		Size:    900,
-		Scanned: 64,
-		Spans: []WireSpan{
-			{Name: "decode", Node: 4, OffsetNanos: 0, DurNanos: 100},
-			{Name: "list_scan", Node: 4, OffsetNanos: 100, DurNanos: 5000},
-		},
-	}
-	if err := gob.NewEncoder(&buf).Encode(&v3); err != nil {
-		t.Fatal(err)
-	}
-	var back ResponseV2
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("v2 coordinator cannot decode v3 response with spans: %v", err)
-	}
-	if back.ShardID != 4 || back.Size != 900 {
-		t.Errorf("v2 decode mangled fields: %+v", back)
-	}
+	t.Run("mid frame", func(t *testing.T) {
+		n, reg, ev := dial(t, midFrameNode(t, dim))
+		conn := n.stream.conn
+		if _, err := n.roundTrip(&Request{Op: OpSample, Query: q, NProbe: 1}); err == nil {
+			t.Fatal("round-trip against a stalled half frame must time out")
+		}
+		resp, err := n.roundTrip(&Request{Op: OpSample, Query: q, NProbe: 1})
+		if err != nil {
+			t.Fatalf("retry must redial and succeed: %v", err)
+		}
+		if len(resp.Neighbors) != 1 || resp.Neighbors[0].ID != 222 {
+			t.Fatalf("retry got %+v", resp.Neighbors)
+		}
+		if got := reg.Snapshot()["hermes_distsearch_deadline_hits_total"]; got != 1 {
+			t.Errorf("deadline hits = %v, want 1", got)
+		}
+		if n.stream.conn == conn || countEvents(ev, "conn.poisoned") != 1 || countEvents(ev, "node.redial") != 1 {
+			t.Errorf("a mid-frame deadline must poison and redial (new conn %v, events %d poisoned %d redial)",
+				n.stream.conn != conn, countEvents(ev, "conn.poisoned"), countEvents(ev, "node.redial"))
+		}
+	})
 }

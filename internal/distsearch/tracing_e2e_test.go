@@ -1,10 +1,8 @@
 package distsearch
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -199,81 +197,35 @@ func TestClusterTracingEndToEnd(t *testing.T) {
 	}
 }
 
-// v2NodeResponse is the span-less pre-v3 response shape an uninstrumented
-// node would send.
-type v2NodeResponse struct {
-	Err                                       string
-	ShardID, Size, Dim                        int
-	Neighbors                                 []vec.Neighbor
-	Batch                                     [][]vec.Neighbor
-	Centroid                                  []float32
-	OK                                        bool
-	SampleServed, DeepServed, MutationsServed int64
-	Tombstones                                int
-	ServerNanos                               int64
-	Telemetry                                 map[string]float64
-}
-
-// serveV2Node runs a minimal span-less shard node speaking the pre-v3
-// protocol: it answers OpInfo/OpSample/OpDeep with v2NodeResponse and never
-// ships spans, exactly like a node running the previous release.
-func serveV2Node(t *testing.T, ln net.Listener, shardID, dim int) {
-	t.Helper()
-	//lint:ignore goroutinectx accept loop exits when the test's deferred ln.Close unblocks Accept; the test process outlives every connection
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			//lint:ignore goroutinectx per-conn handler exits when the coordinator closes the conn at test end
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := v2NodeResponse{ShardID: shardID, Size: 10, Dim: dim}
-					switch req.Op {
-					case OpInfo:
-						resp.Centroid = make([]float32, dim)
-					case OpSample:
-						resp.Neighbors = []vec.Neighbor{{ID: int64(shardID), Score: float32(shardID)}}
-					case OpDeep:
-						resp.Neighbors = []vec.Neighbor{
-							{ID: int64(shardID * 10), Score: float32(shardID)},
-							{ID: int64(shardID*10 + 1), Score: float32(shardID) + 0.5},
-						}
-					default:
-						resp.Err = "unsupported op"
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
+// serveMinimalNode runs a fake shard node that implements only the core
+// ops: it answers OpInfo/OpSample/OpDeep, never ships spans or cost
+// entries, and rejects every other op (OpMetricsSnap included) as
+// unsupported — a node built without tracing or federation.
+func serveMinimalNode(t *testing.T, shardID, dim int) string {
+	return serveFrames(t, func(_ int, req *Request) *Response {
+		switch req.Op {
+		case OpInfo:
+			return fakeInfo(shardID, dim)
+		case OpSample:
+			return &Response{ShardID: shardID, Neighbors: []vec.Neighbor{{ID: int64(shardID), Score: float32(shardID)}}}
+		case OpDeep:
+			return &Response{ShardID: shardID, Neighbors: []vec.Neighbor{
+				{ID: int64(shardID * 10), Score: float32(shardID)},
+				{ID: int64(shardID*10 + 1), Score: float32(shardID) + 0.5},
+			}}
 		}
-	}()
+		return &Response{Err: "unsupported op"}
+	})
 }
 
-// TestMixedVersionClusterEmptyWaterfall proves version-skew safety: a new
-// coordinator serving traced queries off uninstrumented v2 nodes gets
-// results and an empty (coordinator-phases-only) waterfall, not an error.
+// TestMixedVersionClusterEmptyWaterfall proves that nodes which do not trace
+// are safe to serve traced queries from: the coordinator gets results and
+// an empty (coordinator-phases-only) waterfall, not an error.
 func TestMixedVersionClusterEmptyWaterfall(t *testing.T) {
 	const dim = 16
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		//lint:ignore deferinloop bounded two-iteration setup loop; both listeners must live until the test ends
-		defer ln.Close()
-		serveV2Node(t, ln, i, dim)
-		addrs = append(addrs, ln.Addr().String())
+		addrs = append(addrs, serveMinimalNode(t, i, dim))
 	}
 
 	co, err := DialOpts(addrs, DialOptions{Timeout: time.Second, Telemetry: telemetry.NewRegistry()})
@@ -288,14 +240,14 @@ func TestMixedVersionClusterEmptyWaterfall(t *testing.T) {
 	tr := telemetry.NewTrace()
 	res, err := co.SearchTraced(q, p, tr)
 	if err != nil {
-		t.Fatalf("traced query against v2 nodes must not error: %v", err)
+		t.Fatalf("traced query against untraced nodes must not error: %v", err)
 	}
 	if len(res.Neighbors) == 0 {
-		t.Fatal("traced query against v2 nodes returned nothing")
+		t.Fatal("traced query against untraced nodes returned nothing")
 	}
 	for _, s := range tr.Spans() {
 		if s.Node != telemetry.NodeLocal {
-			t.Errorf("v2 nodes cannot ship spans, yet got %q from node %d", s.Name, s.Node)
+			t.Errorf("untraced nodes cannot ship spans, yet got %q from node %d", s.Name, s.Node)
 		}
 	}
 	counts := make(map[string]int)
