@@ -91,8 +91,9 @@ type GroupSearcher struct {
 	pairs []cellRef // (cell, slot) refs, bucketed by cell then slot
 	offs  []int32   // per-cell counting-sort offsets, NList+1 long
 	heap  []cellDist
-	n     int  // queries in the current batch
-	empty bool // true until a Search completes; guards stale results
+	cdist []float32 // centroid distances scratch for probe selection
+	n     int       // queries in the current batch
+	empty bool      // true until a Search completes; guards stale results
 
 	// ph points at phase when the current batch is phased (SearchPhased);
 	// nil keeps every clock read off the untraced path, exactly like
@@ -218,7 +219,7 @@ func (g *GroupSearcher) search(queries [][]float32, k, nProbe int, ph *PhaseNano
 		s.shared = 0
 		s.exclusive = 0
 		s.amortized = 0
-		g.heap, s.cells = selectProbeCells(ix, q, nProbe, g.heap, s.cells)
+		g.heap, g.cdist, s.cells = selectProbeCells(ix, q, nProbe, g.heap, g.cdist, s.cells)
 		if !ix.cfg.ByResidual {
 			s.kernel.BindQuery(q)
 		}
@@ -364,7 +365,7 @@ func (g *GroupSearcher) scanCellGroup(l *invList, cs int, dead []uint32, group [
 			if len(dead) == 0 {
 				for i, id := range ids {
 					d := dist[i]
-					if full && d >= worst {
+					if full && d > worst {
 						continue
 					}
 					tk.Push(id, d)
@@ -387,7 +388,7 @@ func (g *GroupSearcher) scanCellGroup(l *invList, cs int, dead []uint32, group [
 				}
 				lv++
 				d := dist[i]
-				if full && d >= worst {
+				if full && d > worst {
 					continue
 				}
 				tk.Push(id, d)
@@ -517,7 +518,10 @@ func (ix *Index) PredictCells(dst []int32, q []float32, nProbe int) []int32 {
 	if nProbe > ix.cfg.NList {
 		nProbe = ix.cfg.NList
 	}
-	heap := make([]cellDist, 0, nProbe)
-	_, dst = selectProbeCells(ix, q, nProbe, heap, dst)
+	// Borrow a pooled Searcher's selection scratch, so a warmed index
+	// predicts without allocating.
+	s := ix.getSearcher()
+	s.heap, s.cdist, dst = selectProbeCells(ix, q, nProbe, s.heap, s.cdist, dst)
+	ix.pool.Put(s)
 	return dst
 }

@@ -129,6 +129,12 @@ func TestSearchGroupProperty(t *testing.T) {
 		}
 		return stats.CellsScanned+stats.SharedCellScans == batch*nProbe
 	}
+	// This seed puts two neighbours at exactly equal distance in different
+	// cells, which the grouped and sequential scans visit in different
+	// orders.
+	if !f(3818599368947993172) {
+		t.Fatal("tied neighbours differ between grouped and sequential")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +235,22 @@ func TestPredictCells(t *testing.T) {
 	var un Index
 	if got := un.PredictCells(nil, q, 4); len(got) != 0 {
 		t.Fatalf("untrained predicted %d cells, want 0", len(got))
+	}
+}
+
+// TestPredictCellsZeroAlloc: on a warmed index PredictCells borrows a pooled
+// Searcher's selection scratch, so with room in dst it allocates nothing.
+func TestPredictCellsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts")
+	}
+	data := gaussianData(400, 8, 97)
+	ix := buildIndex(t, data, Config{Dim: 8, NList: 10, Seed: 5})
+	q := data.Row(7)
+	dst := make([]int32, 0, ix.NList())
+	dst = ix.PredictCells(dst, q, 4)
+	if allocs := testing.AllocsPerRun(50, func() { dst = ix.PredictCells(dst, q, 4) }); allocs != 0 {
+		t.Fatalf("PredictCells allocated %v times per call", allocs)
 	}
 }
 

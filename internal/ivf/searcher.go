@@ -61,6 +61,7 @@ type Searcher struct {
 	tk     *vec.TopK
 	cells  []int32    // selected probe cells, ascending centroid distance
 	heap   []cellDist // bounded max-heap scratch for selectCells
+	cdist  []float32  // centroid distances scratch for selectCells, NList long
 }
 
 // NewSearcher returns a fresh search handle. The handle embeds a batch
@@ -201,7 +202,7 @@ func (s *Searcher) scanList(l *invList, cs int, dead []uint32) int {
 		if len(dead) == 0 {
 			for i, id := range ids {
 				d := dist[i]
-				if full && d >= worst {
+				if full && d > worst {
 					continue
 				}
 				tk.Push(id, d)
@@ -221,7 +222,7 @@ func (s *Searcher) scanList(l *invList, cs int, dead []uint32) int {
 			}
 			live++
 			d := dist[i]
-			if full && d >= worst {
+			if full && d > worst {
 				continue
 			}
 			tk.Push(id, d)
@@ -236,24 +237,31 @@ func (s *Searcher) scanList(l *invList, cs int, dead []uint32) int {
 //
 //hermes:hotpath
 func (s *Searcher) selectCells(q []float32, nProbe int) {
-	s.heap, s.cells = selectProbeCells(s.ix, q, nProbe, s.heap, s.cells)
+	s.heap, s.cdist, s.cells = selectProbeCells(s.ix, q, nProbe, s.heap, s.cdist, s.cells)
 }
 
 // selectProbeCells is the shared probe-cell selection of the single-query
 // and grouped scan paths: it fills cells with the nProbe cells whose
-// centroids are closest to q, ascending by distance. It is a bounded
-// max-heap partial selection — O(nlist log nProbe) instead of the full
-// O(nlist log nlist) sort — and both scratch slices are returned (grown only
-// on first use) so callers can pool them across queries.
+// centroids are closest to q, ascending by distance. One L2SquaredBatch call
+// scores every centroid into dist (bit-identical to per-centroid L2Squared),
+// then a bounded max-heap partial selection — O(nlist log nProbe) instead of
+// the full O(nlist log nlist) sort — walks the distances in cell order. All
+// three scratch slices are returned (grown only on first use) so callers can
+// pool them across queries.
 //
 //hermes:hotpath
-func selectProbeCells(ix *Index, q []float32, nProbe int, heap []cellDist, cells []int32) ([]cellDist, []int32) {
+func selectProbeCells(ix *Index, q []float32, nProbe int, heap []cellDist, dist []float32, cells []int32) ([]cellDist, []float32, []int32) {
 	if cap(heap) < nProbe {
 		heap = make([]cellDist, 0, nProbe)
 	}
+	nl := ix.cfg.NList
+	if cap(dist) < nl {
+		dist = make([]float32, nl)
+	}
+	dist = dist[:nl]
+	vec.L2SquaredBatch(q, ix.centroids.Data(), nl, dist)
 	h := heap[:0]
-	for c := 0; c < ix.cfg.NList; c++ {
-		d := vec.L2Squared(q, ix.centroids.Row(c))
+	for c, d := range dist {
 		if len(h) < nProbe {
 			h = append(h, cellDist{d, int32(c)})
 			siftUpCell(h, len(h)-1)
@@ -278,7 +286,7 @@ func selectProbeCells(ix *Index, q []float32, nProbe int, heap []cellDist, cells
 	for i := range h {
 		cells[i] = h[i].cell
 	}
-	return h, cells
+	return h, dist, cells
 }
 
 func siftUpCell(h []cellDist, i int) {

@@ -241,9 +241,7 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 	// distance to the nearest chosen centroid.
 	copy(centroids.Row(0), data.Row(rng.Intn(n)))
 	dists := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dists[i] = float64(vec.L2Squared(data.Row(i), centroids.Row(0)))
-	}
+	nearestDists(dists, data, centroids.Row(0), true)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, d := range dists {
@@ -265,13 +263,30 @@ func initCentroids(data *vec.Matrix, k int, plusPlus bool, rng *rand.Rand) *vec.
 			}
 		}
 		copy(centroids.Row(c), data.Row(pick))
-		for i := 0; i < n; i++ {
-			if d := float64(vec.L2Squared(data.Row(i), centroids.Row(c))); d < dists[i] {
-				dists[i] = d
+		nearestDists(dists, data, centroids.Row(c), false)
+	}
+	return centroids
+}
+
+// nearestDistsBlock is how many rows nearestDists scores per
+// vec.L2SquaredBatch call; the block lives on the stack.
+const nearestDistsBlock = 64
+
+// nearestDists scores every row of data against centroid and stores the
+// distance in dists[i] when first is set, or when it is below dists[i]
+// otherwise: the k-means++ distance to the nearest chosen centroid.
+func nearestDists(dists []float64, data *vec.Matrix, centroid []float32, first bool) {
+	var block [nearestDistsBlock]float32
+	n := data.Len()
+	for b0 := 0; b0 < n; b0 += nearestDistsBlock {
+		bn := min(n-b0, nearestDistsBlock)
+		vec.L2SquaredBatch(centroid, data.Data()[b0*data.Dim:], bn, block[:bn])
+		for i, d := range block[:bn] {
+			if fd := float64(d); first || fd < dists[b0+i] {
+				dists[b0+i] = fd
 			}
 		}
 	}
-	return centroids
 }
 
 func reseedEmpty(centroids *vec.Matrix, c int, data *vec.Matrix, assign []int, rng *rand.Rand) {

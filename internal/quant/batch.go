@@ -144,13 +144,14 @@ func (b *flatBatch) DistanceBatch(codes []byte, n int, out []float32) {
 // SQ: two kernels, chosen by code width.
 //
 // SQ8 uses branch-free direct dequantization: BindQuery precomputes
-// qm[d] = q[d] - min[d]; the scan evaluates (qm[d] - code*scale[d])^2, on
-// amd64 via an SSE2 assembly loop (8 dims per iteration) and elsewhere via
-// four-lane Go. The per-(dimension, level) squared-difference table the
-// scalar path uses was measured and rejected for the 8-bit batch kernel: at
-// dim=128 it is a 128 KiB working set walked with 1 KiB strides (one cache
-// line per dimension per code), which runs out of L1 and ends up slower than
-// the scalar closure — see DESIGN.md §8.
+// qm[d] = q[d] - min[d]; the scan evaluates (qm[d] - code*scale[d])^2 with
+// eight lanes per code, on AVX2 hosts via one assembly call per block (four
+// codes per iteration, 8 dims per ymm) and elsewhere via the Go loop
+// sq8Scan, which computes the same bits. The per-(dimension, level)
+// squared-difference table the scalar path uses was measured and rejected
+// for the 8-bit batch kernel: at dim=128 it is a 128 KiB working set walked
+// with 1 KiB strides (one cache line per dimension per code), which runs out
+// of L1 and ends up slower than the scalar closure — see DESIGN.md §8.
 //
 // SQ4 keeps the table: at 16 levels it is one cache line per dimension
 // (dim x 64 B = 8 KiB at dim=128), L1-resident across the whole scan. Rows
@@ -159,8 +160,8 @@ func (b *flatBatch) DistanceBatch(codes []byte, n int, out []float32) {
 
 type sqBatch struct {
 	sq  *SQ
-	qm  []float32      // q - min, rebuilt per query (8-bit path)
-	lut [][16]float32  // per-dim squared-diff rows (4-bit path only)
+	qm  []float32     // q - min, rebuilt per query (8-bit path)
+	lut [][16]float32 // per-dim squared-diff rows (4-bit path only)
 }
 
 // NewBatchDistancer returns the SQ batch kernel for this code width.
@@ -201,41 +202,65 @@ func (b *sqBatch) DistanceBatch(codes []byte, n int, out []float32) {
 	cs := b.sq.CodeSize()
 	checkBatchArgs(codes, n, cs, out)
 	if b.sq.bits == 8 {
-		b.batch8(codes, n, cs, out)
+		b.batch8(codes, n, out)
 	} else {
 		b.batch4(codes, n, cs, out)
 	}
 }
 
-func (b *sqBatch) batch8(codes []byte, n, cs int, out []float32) {
+func (b *sqBatch) batch8(codes []byte, n int, out []float32) {
 	qm, scale := b.qm, b.sq.scale
-	dim := b.sq.dim
-	if sq8UseAsm && dim%4 == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = sq8DotAsm(codes[i*cs:i*cs+cs], qm, scale)
-		}
+	if sq8UseAVX2 && len(qm)%4 == 0 {
+		sq8ScanAVX2(codes, qm, scale, n, out)
 		return
 	}
+	sq8Scan(codes, qm, scale, n, out)
+}
+
+// sq8Scan is the portable SQ8 scan and the numerical reference of the AVX2
+// kernel. Each code keeps eight lanes: lane j sums dims 8k+j, a dim%8 >= 4
+// tail adds into lanes 0-3, dims left over past a multiple of 4 add into
+// lane 0, lane j+4 folds onto lane j, and the result is (l0+l2)+(l1+l3).
+func sq8Scan(codes []byte, qm, scale []float32, n int, out []float32) {
+	dim := len(qm)
+	scale = scale[:dim]
 	for i := 0; i < n; i++ {
-		code := codes[i*cs : i*cs+cs : i*cs+cs]
-		var s0, s1, s2, s3 float32
+		code := codes[i*dim : i*dim+dim : i*dim+dim]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
 		d := 0
-		for ; d+4 <= dim; d += 4 {
-			d0 := qm[d] - float32(code[d])*scale[d]
-			d1 := qm[d+1] - float32(code[d+1])*scale[d+1]
-			d2 := qm[d+2] - float32(code[d+2])*scale[d+2]
-			d3 := qm[d+3] - float32(code[d+3])*scale[d+3]
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
+		for ; d+8 <= dim; d += 8 {
+			// Constant-length subslices: one bounds check each covers all
+			// eight lanes.
+			q, sc, c := qm[d:d+8:d+8], scale[d:d+8:d+8], code[d:d+8:d+8]
+			s0 += sq8Term(q[0], sc[0], c[0])
+			s1 += sq8Term(q[1], sc[1], c[1])
+			s2 += sq8Term(q[2], sc[2], c[2])
+			s3 += sq8Term(q[3], sc[3], c[3])
+			s4 += sq8Term(q[4], sc[4], c[4])
+			s5 += sq8Term(q[5], sc[5], c[5])
+			s6 += sq8Term(q[6], sc[6], c[6])
+			s7 += sq8Term(q[7], sc[7], c[7])
+		}
+		if d+4 <= dim {
+			s0 += sq8Term(qm[d], scale[d], code[d])
+			s1 += sq8Term(qm[d+1], scale[d+1], code[d+1])
+			s2 += sq8Term(qm[d+2], scale[d+2], code[d+2])
+			s3 += sq8Term(qm[d+3], scale[d+3], code[d+3])
+			d += 4
 		}
 		for ; d < dim; d++ {
-			dd := qm[d] - float32(code[d])*scale[d]
-			s0 += dd * dd
+			s0 += sq8Term(qm[d], scale[d], code[d])
 		}
-		out[i] = s0 + s1 + s2 + s3
+		out[i] = ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7))
 	}
+}
+
+// sq8Term is one dim's (qm - c*scale)^2. The float32 conversions forbid a
+// fused multiply-add, which Go may otherwise emit (for example on arm64) and
+// which would round differently from the AVX2 kernel.
+func sq8Term(qm, scale float32, c byte) float32 {
+	diff := qm - float32(float32(c)*scale)
+	return float32(diff * diff)
 }
 
 func (b *sqBatch) batch4(codes []byte, n, cs int, out []float32) {
@@ -274,8 +299,8 @@ func (b *sqBatch) batch4(codes []byte, n, cs int, out []float32) {
 
 type pqBatch struct {
 	pq     *PQ
-	ksub   int             // actual codebook size (<= 256 when clamped)
-	tables [][256]float32  // one gather row per subquantizer
+	ksub   int            // actual codebook size (<= 256 when clamped)
+	tables [][256]float32 // one gather row per subquantizer
 }
 
 // NewBatchDistancer returns the PQ ADC table-gather kernel.
@@ -289,11 +314,7 @@ func (b *pqBatch) BindQuery(q []float32) {
 	checkQueryDim(len(q), p.dim)
 	for m := 0; m < p.m; m++ {
 		sub := q[m*p.dsub : (m+1)*p.dsub]
-		cb := p.codebooks[m]
-		row := &b.tables[m]
-		for c := 0; c < b.ksub; c++ {
-			row[c] = vec.L2Squared(sub, cb.Row(c))
-		}
+		vec.L2SquaredBatch(sub, p.codebooks[m].Data(), b.ksub, b.tables[m][:b.ksub])
 	}
 }
 

@@ -55,8 +55,21 @@ func trainedQuantizers(t testing.TB, dim int, rng *rand.Rand) []Quantizer {
 // documented tolerance on random inputs, including batch lengths that are not
 // multiples of any block size and dims not divisible by 4.
 func TestBatchMatchesScalar(t *testing.T) {
+	testBatchMatchesScalar(t)
+}
+
+// TestBatchMatchesScalarGoSQ8 holds the pure-Go sq8Scan to the same
+// property on hosts where the AVX2 kernel would otherwise serve SQ8.
+func TestBatchMatchesScalarGoSQ8(t *testing.T) {
+	saved := sq8UseAVX2
+	defer func() { sq8UseAVX2 = saved }()
+	sq8UseAVX2 = false
+	testBatchMatchesScalar(t)
+}
+
+func testBatchMatchesScalar(t *testing.T) {
 	// 13: odd dim exercises the SQ4 nibble tail; 12: dim%8==4 exercises the
-	// SQ8 assembly kernel's four-wide tail step.
+	// SQ8 kernels' four-wide tail step.
 	for _, dim := range []int{6, 12, 13, 16, 64} {
 		rng := rand.New(rand.NewSource(int64(dim)))
 		for _, qz := range trainedQuantizers(t, dim, rng) {
@@ -94,6 +107,81 @@ func TestBatchMatchesScalar(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sq8Paths runs f once per SQ8 scan implementation this host has: the AVX2
+// kernel (when the CPU supports it) and the pure-Go sq8Scan.
+func sq8Paths(t *testing.T, f func(t *testing.T)) {
+	saved := sq8UseAVX2
+	defer func() { sq8UseAVX2 = saved }()
+	for _, useAVX2 := range []bool{true, false} {
+		if useAVX2 && !vec.HasAVX2() {
+			continue
+		}
+		sq8UseAVX2 = useAVX2
+		name := "go"
+		if useAVX2 {
+			name = "avx2"
+		}
+		t.Run(name, f)
+	}
+}
+
+// TestSQ8KernelBitIdentical pins the AVX2 SQ8 block kernel to the pure-Go
+// reference bit for bit, for every dim%8 residue the kernel accepts and for
+// code counts around its four-code groups and the scan block of 256.
+func TestSQ8KernelBitIdentical(t *testing.T) {
+	if !vec.HasAVX2() {
+		t.Skip("no AVX2 on this host; sq8Scan is the only SQ8 path")
+	}
+	rng := rand.New(rand.NewSource(8))
+	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 255, 256, 257}
+	for dim := 4; dim <= 256; dim += 4 {
+		qm := make([]float32, dim)
+		scale := make([]float32, dim)
+		for d := range qm {
+			qm[d] = float32(rng.NormFloat64() * 4)
+			scale[d] = float32(rng.Float64()*0.05 + 1e-3)
+		}
+		codes := make([]byte, counts[len(counts)-1]*dim)
+		rng.Read(codes)
+		for _, n := range counts {
+			want := make([]float32, n+1)
+			got := make([]float32, n+1)
+			want[n], got[n] = -1, -1
+			sq8Scan(codes, qm, scale, n, want)
+			sq8ScanAVX2(codes, qm, scale, n, got)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("dim=%d n=%d slot %d: avx2 %v != go %v", dim, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDistanceBatchZeroAlloc: a bound kernel's DistanceBatch allocates
+// nothing, on every SQ8 path and for every native kernel.
+func TestDistanceBatchZeroAlloc(t *testing.T) {
+	sq8Paths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		for _, dim := range []int{12, 13, 128} {
+			for _, qz := range trainedQuantizers(t, dim, rng) {
+				kernel := NewBatchDistancer(qz)
+				q := make([]float32, dim)
+				for d := range q {
+					q[d] = float32(rng.NormFloat64())
+				}
+				kernel.BindQuery(q)
+				const n = 257
+				codes := make([]byte, n*qz.CodeSize())
+				out := make([]float32, n)
+				if a := testing.AllocsPerRun(20, func() { kernel.DistanceBatch(codes, n, out) }); a != 0 {
+					t.Fatalf("%s dim %d: DistanceBatch allocated %v times per call", qz.Name(), dim, a)
+				}
+			}
+		}
+	})
 }
 
 // TestBatchRebind checks that a kernel re-bound to a new query forgets the

@@ -102,6 +102,36 @@ func BenchmarkBatchScan(b *testing.B) {
 	}
 }
 
+// BenchmarkSQ8Block measures one scan block (256 codes, the ivf scanBlock)
+// through each SQ8 path this host has: the AVX2 block kernel and sq8Scan.
+func BenchmarkSQ8Block(b *testing.B) {
+	for _, useAVX2 := range []bool{true, false} {
+		if useAVX2 && !vec.HasAVX2() {
+			continue
+		}
+		path := "go"
+		if useAVX2 {
+			path = "avx2"
+		}
+		for _, dim := range []int{32, 128} {
+			b.Run(fmt.Sprintf("%s/dim%d", path, dim), func(b *testing.B) {
+				saved := sq8UseAVX2
+				defer func() { sq8UseAVX2 = saved }()
+				sq8UseAVX2 = useAVX2
+				s := newBenchSetup(b, NewSQ(dim, 8), dim, 256)
+				kernel := NewBatchDistancer(s.qz)
+				kernel.BindQuery(s.q)
+				out := make([]float32, s.n)
+				b.SetBytes(int64(s.n * s.qz.CodeSize()))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kernel.DistanceBatch(s.codes, s.n, out)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkBindQuery isolates per-query kernel setup (table/LUT build), the
 // cost amortized across a scan — see DESIGN.md §8 for the crossover analysis.
 func BenchmarkBindQuery(b *testing.B) {

@@ -132,8 +132,26 @@ func TestCalibrateErrors(t *testing.T) {
 	}
 }
 
+// TestExtrapolateMonotone checks the extrapolation, not the host: a fake
+// clock whose per-read step gen sets from the sweep size (1 µs per vector)
+// stands in for wall time, so the fitted latency grows with size however
+// fast or loaded the machine is.
 func TestExtrapolateMonotone(t *testing.T) {
-	m, err := Calibrate(SweepConfig{Dim: 8, Sizes: []int{500, 1000, 2000}, Seed: 2}, gaussianGen)
+	saved := now
+	defer func() { now = saved }()
+	const queries = 16
+	var ticks, step time.Duration
+	now = func() time.Time {
+		ticks += step
+		return time.Unix(0, 0).Add(ticks)
+	}
+	gen := func(n, dim int, seed int64) *vec.Matrix {
+		if n != queries {
+			step = time.Duration(n) * time.Microsecond
+		}
+		return gaussianGen(n, dim, seed)
+	}
+	m, err := Calibrate(SweepConfig{Dim: 8, Sizes: []int{500, 1000, 2000}, Queries: queries, Seed: 2}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,25 @@ package vec
 
 import "fmt"
 
+// l2BatchUseAVX gates L2SquaredBatch's AVX kernel. Tests clear it to run the
+// pure-Go loop on AVX2 hosts too.
+var l2BatchUseAVX = hasAVX2
+
+// HasAVX2 reports whether this process runs the AVX2 kernels: the CPU
+// supports AVX and AVX2 and the OS saves the YMM registers. It is the single
+// CPU feature probe shared by the vec and quant kernels.
+func HasAVX2() bool { return hasAVX2 }
+
 // L2SquaredBatch computes the squared Euclidean distance between q and each
 // of the first n rows of data (row-major, stride len(q)), writing distances
 // to out[:n]. It is the flat-storage scan kernel: one call evaluates a whole
 // block of contiguous vectors, keeping the inner loop free of per-vector
 // closure calls and bounds checks.
 //
-// Accumulation uses the same four-lane unrolling as L2Squared, so the two
-// produce bit-identical results for the same inputs.
+// Accumulation uses the same four-lane association as L2Squared on every
+// path, so the two produce bit-identical results for the same inputs. On
+// AVX2 hosts an assembly kernel scores two rows per ymm register, four rows
+// in flight; elsewhere the pure-Go loop below runs.
 func L2SquaredBatch(q, data []float32, n int, out []float32) {
 	dim := len(q)
 	if dim == 0 {
@@ -21,24 +32,11 @@ func L2SquaredBatch(q, data []float32, n int, out []float32) {
 	if len(out) < n {
 		panic(fmt.Sprintf("vec: L2SquaredBatch out length %d < n %d", len(out), n))
 	}
+	if l2BatchUseAVX {
+		l2BatchAVX(q, data, n, out)
+		return
+	}
 	for i := 0; i < n; i++ {
-		row := data[i*dim : i*dim+dim : i*dim+dim]
-		var s0, s1, s2, s3 float32
-		d := 0
-		for ; d+4 <= dim; d += 4 {
-			d0 := q[d] - row[d]
-			d1 := q[d+1] - row[d+1]
-			d2 := q[d+2] - row[d+2]
-			d3 := q[d+3] - row[d+3]
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		for ; d < dim; d++ {
-			dd := q[d] - row[d]
-			s0 += dd * dd
-		}
-		out[i] = s0 + s1 + s2 + s3
+		out[i] = L2Squared(q, data[i*dim:i*dim+dim:i*dim+dim])
 	}
 }

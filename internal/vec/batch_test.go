@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -13,26 +15,111 @@ func randomMatrix(rng *rand.Rand, n, dim int) *Matrix {
 	return m
 }
 
+// kernelPaths runs f once per L2SquaredBatch implementation this host has:
+// the AVX kernel (when the CPU supports it) and the pure-Go loop.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	saved := l2BatchUseAVX
+	defer func() { l2BatchUseAVX = saved }()
+	for _, useAVX := range []bool{true, false} {
+		if useAVX && !hasAVX2 {
+			continue
+		}
+		l2BatchUseAVX = useAVX
+		name := "go"
+		if useAVX {
+			name = "avx"
+		}
+		t.Run(name, f)
+	}
+}
+
 func TestL2SquaredBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	// Cover dims not divisible by 4 and row counts not on block boundaries.
-	for _, dim := range []int{1, 3, 4, 7, 16, 33, 128} {
-		for _, n := range []int{1, 2, 5, 17, 64} {
-			m := randomMatrix(rng, n, dim)
-			q := make([]float32, dim)
-			for d := range q {
-				q[d] = float32(rng.NormFloat64())
-			}
-			out := make([]float32, n)
-			L2SquaredBatch(q, m.Data(), n, out)
-			for i := 0; i < n; i++ {
-				want := L2Squared(q, m.Row(i))
-				if out[i] != want {
-					t.Fatalf("dim=%d n=%d row %d: batch %v != scalar %v", dim, n, i, out[i], want)
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		// Every dim residue mod 4 and mod 8, and row counts around the
+		// kernel's four-row groups.
+		for dim := 1; dim <= 140; dim++ {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 200} {
+				m := randomMatrix(rng, n, dim)
+				q := make([]float32, dim)
+				for d := range q {
+					q[d] = float32(rng.NormFloat64())
+				}
+				// One slot past n must stay untouched.
+				out := make([]float32, n+1)
+				out[n] = -1
+				L2SquaredBatch(q, m.Data(), n, out)
+				for i := 0; i < n; i++ {
+					if want := L2Squared(q, m.Row(i)); math.Float32bits(out[i]) != math.Float32bits(want) {
+						t.Fatalf("dim=%d n=%d row %d: batch %v != scalar %v", dim, n, i, out[i], want)
+					}
+				}
+				if out[n] != -1 {
+					t.Fatalf("dim=%d n=%d: wrote past out[:n]", dim, n)
 				}
 			}
 		}
-	}
+	})
+}
+
+// TestL2SquaredBatchZeroRows: n == 0 writes nothing and reads no row.
+func TestL2SquaredBatchZeroRows(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		out := []float32{-1}
+		L2SquaredBatch([]float32{1, 2}, nil, 0, out)
+		if out[0] != -1 {
+			t.Fatalf("n=0 wrote %v", out[0])
+		}
+	})
+}
+
+// TestArgMinL2MatchesScan pins ArgMinL2 to the plain row-by-row scan with a
+// strict <, across block boundaries and with duplicated minima.
+func TestArgMinL2MatchesScan(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for _, dim := range []int{1, 3, 8, 30} {
+			for _, n := range []int{1, 2, 63, 64, 65, 129, 300} {
+				m := randomMatrix(rng, n, dim)
+				q := make([]float32, dim)
+				for d := range q {
+					q[d] = float32(rng.NormFloat64())
+				}
+				// Duplicate one row later in the matrix: the earlier copy
+				// must win the tie.
+				if n > 2 {
+					copy(m.Row(n-1), m.Row(n/2))
+				}
+				want, wantDist := 0, L2Squared(q, m.Row(0))
+				for i := 1; i < n; i++ {
+					if d := L2Squared(q, m.Row(i)); d < wantDist {
+						want, wantDist = i, d
+					}
+				}
+				got, gotDist := m.ArgMinL2(q)
+				if got != want || math.Float32bits(gotDist) != math.Float32bits(wantDist) {
+					t.Fatalf("dim=%d n=%d: ArgMinL2 = (%d, %v), scan = (%d, %v)", dim, n, got, gotDist, want, wantDist)
+				}
+			}
+		}
+	})
+}
+
+// TestL2KernelsAllocateNothing pins L2SquaredBatch and ArgMinL2 (whose
+// distance block lives on the stack) at zero heap allocations.
+func TestL2KernelsAllocateNothing(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		m := randomMatrix(rng, 300, 36)
+		q := m.Row(7)
+		out := make([]float32, 300)
+		if a := testing.AllocsPerRun(50, func() { L2SquaredBatch(q, m.Data(), 300, out) }); a != 0 {
+			t.Fatalf("L2SquaredBatch allocated %v times per call", a)
+		}
+		if a := testing.AllocsPerRun(50, func() { m.ArgMinL2(q) }); a != 0 {
+			t.Fatalf("ArgMinL2 allocated %v times per call", a)
+		}
+	})
 }
 
 func TestL2SquaredBatchPartialPrefix(t *testing.T) {
@@ -73,6 +160,24 @@ func TestTopKResetReusesBuffer(t *testing.T) {
 	}
 	if got := tk.Results(); len(got) != 4 {
 		t.Fatalf("third round = %v", got)
+	}
+}
+
+// TestTopKTiesIndependentOfPushOrder: candidates rank by score, then ID, so
+// any push order keeps the same neighbours in the same order, also when a
+// tie straddles the k-th place.
+func TestTopKTiesIndependentOfPushOrder(t *testing.T) {
+	cands := []Neighbor{{7, 1}, {3, 2}, {9, 2}, {4, 2}, {1, 3}, {8, 0.5}}
+	want := []Neighbor{{8, 0.5}, {7, 1}, {3, 2}, {4, 2}}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		tk := NewTopK(4)
+		for _, i := range rng.Perm(len(cands)) {
+			tk.Push(cands[i].ID, cands[i].Score)
+		}
+		if got := tk.Results(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+		}
 	}
 }
 
@@ -129,19 +234,31 @@ func BenchmarkL2SquaredScalarLoop(b *testing.B) {
 }
 
 func BenchmarkL2SquaredBatch(b *testing.B) {
-	for _, dim := range []int{64, 128, 768} {
-		b.Run(benchName(dim), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			const n = 1024
-			m := randomMatrix(rng, n, dim)
-			q := m.Row(0)
-			out := make([]float32, n)
-			b.SetBytes(int64(n * dim * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				L2SquaredBatch(q, m.Data(), n, out)
-			}
-		})
+	for _, useAVX := range []bool{true, false} {
+		if useAVX && !hasAVX2 {
+			continue
+		}
+		kernel := "go"
+		if useAVX {
+			kernel = "avx"
+		}
+		for _, dim := range []int{64, 128, 768} {
+			b.Run(kernel+"/"+benchName(dim), func(b *testing.B) {
+				saved := l2BatchUseAVX
+				defer func() { l2BatchUseAVX = saved }()
+				l2BatchUseAVX = useAVX
+				rng := rand.New(rand.NewSource(1))
+				const n = 1024
+				m := randomMatrix(rng, n, dim)
+				q := m.Row(0)
+				out := make([]float32, n)
+				b.SetBytes(int64(n * dim * 4))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					L2SquaredBatch(q, m.Data(), n, out)
+				}
+			})
+		}
 	}
 }
 

@@ -41,23 +41,35 @@ func (t *TopK) Reset(k int) {
 }
 
 // Push offers a candidate; it is retained if fewer than k candidates are held
-// or its score beats the current worst.
+// or it ranks ahead of the current worst. Candidates rank by score, then by
+// ID, so the retained set and its order do not depend on the push order:
+// scans that visit the same candidates in different orders agree even on
+// exact score ties.
 func (t *TopK) Push(id int64, score float32) {
+	n := Neighbor{ID: id, Score: score}
 	if len(t.heap) < t.k {
-		t.heap = append(t.heap, Neighbor{ID: id, Score: score})
+		t.heap = append(t.heap, n)
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
-	if score >= t.heap[0].Score {
+	if !ranksAhead(n, t.heap[0]) {
 		return
 	}
-	t.heap[0] = Neighbor{ID: id, Score: score}
+	t.heap[0] = n
 	t.siftDown(0)
+}
+
+// ranksAhead reports whether a ranks ahead of b: a smaller score, or an
+// equal score and a smaller ID.
+func ranksAhead(a, b Neighbor) bool {
+	return a.Score < b.Score || (a.Score == b.Score && a.ID < b.ID)
 }
 
 // WorstScore returns the score of the worst retained candidate, or +Inf-like
 // behaviour via (ok=false) when fewer than k candidates are held. Callers use
-// it to prune scans early.
+// it to prune scans early; a candidate whose score equals it may still rank
+// ahead by ID, so a pruning scan that visits IDs out of order skips only
+// scores above it.
 func (t *TopK) WorstScore() (float32, bool) {
 	if len(t.heap) < t.k {
 		return 0, false
@@ -96,7 +108,7 @@ func (t *TopK) AppendResults(dst []Neighbor) []Neighbor {
 func (t *TopK) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if t.heap[parent].Score >= t.heap[i].Score {
+		if !ranksAhead(t.heap[parent], t.heap[i]) {
 			return
 		}
 		t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
@@ -109,10 +121,10 @@ func (t *TopK) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && t.heap[l].Score > t.heap[largest].Score {
+		if l < n && ranksAhead(t.heap[largest], t.heap[l]) {
 			largest = l
 		}
-		if r < n && t.heap[r].Score > t.heap[largest].Score {
+		if r < n && ranksAhead(t.heap[largest], t.heap[r]) {
 			largest = r
 		}
 		if largest == i {

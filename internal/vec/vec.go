@@ -34,7 +34,11 @@ func Dot(a, b []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// L2Squared returns the squared Euclidean distance between a and b.
+// L2Squared returns the squared Euclidean distance between a and b. Lane j
+// sums dims 4k+j, leftover dims go into lane 0, and the lanes are summed as
+// ((l0+l1)+l2)+l3. The float32 conversions forbid the compiler from fusing a
+// multiply-add (Go may fuse otherwise, for example on arm64), so every
+// platform and the AVX kernel behind L2SquaredBatch agree bit for bit.
 func L2Squared(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: L2Squared length mismatch %d != %d", len(a), len(b)))
@@ -46,14 +50,14 @@ func L2Squared(a, b []float32) float32 {
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s0 += float32(d * d)
 	}
 	return s0 + s1 + s2 + s3
 }
@@ -171,16 +175,34 @@ func (m *Matrix) AppendRow(v []float32) {
 // Bytes reports the memory footprint of the stored float32 data.
 func (m *Matrix) Bytes() int64 { return int64(len(m.data)) * 4 }
 
+// argMinBlock is how many distances ArgMinL2 computes per L2SquaredBatch
+// call; the block lives on the stack.
+const argMinBlock = 64
+
 // ArgMinL2 returns the row index of m closest (squared L2) to q and the
-// corresponding distance. The matrix must be non-empty.
+// corresponding distance. The matrix must be non-empty. Rows are compared in
+// order with a strict <, so the first of several equal minima wins.
 func (m *Matrix) ArgMinL2(q []float32) (int, float32) {
-	if m.Len() == 0 {
+	n := m.Len()
+	if n == 0 {
 		panic("vec: ArgMinL2 on empty matrix")
 	}
-	best, bestDist := 0, L2Squared(q, m.Row(0))
-	for i := 1; i < m.Len(); i++ {
-		if d := L2Squared(q, m.Row(i)); d < bestDist {
-			best, bestDist = i, d
+	if len(q) != m.Dim {
+		panic(fmt.Sprintf("vec: ArgMinL2 length mismatch %d != %d", len(q), m.Dim))
+	}
+	var dist [argMinBlock]float32
+	best, bestDist := 0, float32(0)
+	for b0 := 0; b0 < n; b0 += argMinBlock {
+		bn := min(n-b0, argMinBlock)
+		L2SquaredBatch(q, m.data[b0*m.Dim:], bn, dist[:bn])
+		i := 0
+		if b0 == 0 {
+			bestDist, i = dist[0], 1
+		}
+		for ; i < bn; i++ {
+			if dist[i] < bestDist {
+				best, bestDist = b0+i, dist[i]
+			}
 		}
 	}
 	return best, bestDist

@@ -15,6 +15,10 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The kernels have amd64 assembly and a pure-Go fallback; cross-building for
+# arm64 keeps the fallback and the assembly stubs compiling.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/vec ./internal/quant ./internal/ivf
 # The lint gate diffs against the committed lint-report.json (failing only
 # on new findings), refreshes that artifact in place, re-runs the gate over
 # test files, and archives the facts dump — see scripts/lint-diff.sh.
