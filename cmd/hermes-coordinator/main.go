@@ -52,7 +52,7 @@ func main() {
 		admin     = flag.String("admin", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8081)")
 		stats     = flag.Bool("stats", false, "print the per-node serving table (live Fig. 13 view) and exit")
 		trace     = flag.Bool("trace", false, "trace each query and print its cross-node span waterfall")
-		cost      = flag.Bool("cost", false, "print each query's cost-ledger table (cells, exclusive/amortized codes, attributed scan time, wire bytes)")
+		cost      = flag.Bool("cost", false, "print each query's cost-ledger table (cells, codes, measured scan time, wire bytes)")
 		watch     = flag.Duration("watch", 0, "with -stats: poll the cluster at this interval, printing load shares and modeled DVFS energy until interrupted")
 		platform  = flag.String("platform", "gold6448y", "CPU platform for the energy model (gold6448y|platinum8380|silver4316|neoverse, or a full hwmodel name)")
 		slowMS    = flag.Int("slow-ms", 100, "flight-recorder pin threshold in milliseconds for /debug/queries (with -admin)")
@@ -201,21 +201,19 @@ func main() {
 }
 
 // printCostTable renders the -cost view: one ledger row per query plus exact
-// column totals. The scan column carries attributed time only when the run
+// column totals. The scan column carries measured time only when the run
 // was traced (-trace); untraced queries never read the scan clock.
 func printCostTable(costs []telemetry.QueryCost) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "query\tcells\tshared\tcodes_excl\tcodes_amort\tcodes\tscan\twire\t")
+	fmt.Fprintln(w, "query\tcells\tcodes\tscan\twire\t")
 	var total telemetry.QueryCost
 	for i, c := range costs {
 		total.Add(c)
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%v\t%dB\t\n",
-			i, c.Cells, c.SharedCells, c.CodesExclusive, c.CodesAmortized,
-			c.Codes(), time.Duration(c.ScanNanos), c.WireBytes)
+		fmt.Fprintf(w, "%d\t%d\t%d\t%v\t%dB\t\n",
+			i, c.Cells, c.Codes, time.Duration(c.ScanNanos), c.WireBytes)
 	}
-	fmt.Fprintf(w, "total\t%d\t%d\t%d\t%d\t%d\t%v\t%dB\t\n",
-		total.Cells, total.SharedCells, total.CodesExclusive, total.CodesAmortized,
-		total.Codes(), time.Duration(total.ScanNanos), total.WireBytes)
+	fmt.Fprintf(w, "total\t%d\t%d\t%v\t%dB\t\n",
+		total.Cells, total.Codes, time.Duration(total.ScanNanos), total.WireBytes)
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}

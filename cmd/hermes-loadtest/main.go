@@ -48,12 +48,12 @@ func main() {
 		allFlag    = flag.Bool("all", false, "use the naive search-all baseline")
 		admin      = flag.String("admin", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
 		rtTimeout  = flag.Duration("rt-timeout", 0, "per-round-trip I/O deadline; 0 leaves round-trips unbounded")
-		group      = flag.Bool("group", false, "batch queries through the grouping scheduler and execute them as grouped (shared-scan) batch requests")
+		group      = flag.Bool("group", false, "batch queries through the cell-aware scheduler and send each flush as one batch request per node per phase")
 		groupSlack = flag.Duration("group-slack", 2*time.Millisecond, "grouping scheduler slack window: a query with no predicted cell overlap may sit out flushes this long (bounded by the batch wait)")
 		kvMiB      = flag.Int64("kvcache", 0, "document KV-cache capacity in MiB (0 disables); retrieved docs feed an LRU so the achievable RAGCache hit rate shows up in /metrics")
 		linger     = flag.Duration("linger", 0, "keep the process (and -admin endpoints) up this long after the report")
 		slowMS     = flag.Int("slow-ms", 0, "trace every query into a flight recorder, pin those slower than this many milliseconds, and print the slowest at run end (0 disables tracing)")
-		traceFlag  = flag.Bool("trace", false, "trace every query; with -group, traces every grouped batch and prints the slowest batch's waterfall and per-query attribution table at run end")
+		traceFlag  = flag.Bool("trace", false, "trace every query; with -group, traces every scheduled batch and prints the slowest batch's waterfall and per-query attribution table at run end")
 		costFlag   = flag.Bool("cost", false, "accumulate the per-query cost ledger and print a totals table at run end")
 	)
 	flag.Parse()
@@ -74,9 +74,9 @@ func main() {
 	tokensPerChunk := corpus.DefaultTokensPerChunk
 	var co *distsearch.Coordinator
 	var qset *corpus.QuerySet
-	// predict is the grouping signal for -group: available in -selfcontained
-	// mode, where the store is in-process (over the wire, grouped node
-	// execution still applies but flushes pack FIFO).
+	// predict is the scheduler's signal for -group: available in
+	// -selfcontained mode, where the store is in-process (against remote
+	// nodes, flushes pack FIFO).
 	var predict batcher.PredictFunc
 	switch {
 	case *self:
@@ -169,7 +169,7 @@ func main() {
 			*kvMiB, float64(docBytes)/1024)
 	}
 
-	fmt.Fprintf(os.Stderr, "offered load: %.0f QPS x %d queries, concurrency %d, deep=%d, search-all=%v, grouped=%v\n",
+	fmt.Fprintf(os.Stderr, "offered load: %.0f QPS x %d queries, concurrency %d, deep=%d, search-all=%v, scheduled=%v\n",
 		*qps, *queries, *conc, *deep, *allFlag, *group)
 
 	// The cost ledger and slowest-batch tracking are shared by the load
@@ -185,16 +185,15 @@ func main() {
 		slowBatchCosts []telemetry.QueryCost
 	)
 
-	// -group puts the grouping scheduler in front of the cluster: arrivals
+	// -group puts the cell-aware scheduler in front of the cluster: arrivals
 	// form batches (packed by predicted cell overlap when the predictor is
-	// available), and every batch travels as one grouped wire request per
-	// node per phase, asking nodes for shared multi-query cell scans.
+	// available), and every batch travels as one batch request per node per
+	// phase.
 	var bat *batcher.Batcher
 	if *group {
 		if *allFlag {
 			fatal(fmt.Errorf("-group and -all are mutually exclusive"))
 		}
-		co.SetGrouped(true)
 		var err error
 		bat, err = batcher.New(batcher.Config{
 			MaxBatch: *conc,
@@ -204,9 +203,8 @@ func main() {
 			GroupSlack: *groupSlack,
 			Predict:    predict,
 			Telemetry:  telemetry.Default,
-			// Each flush travels as one traced grouped batch under the
-			// batcher-minted identity; nodes execute it grouped (shared
-			// cell scans) and ship per-query attribution back.
+			// Each flush travels as one batch under the batcher-minted
+			// identity; nodes ship the per-query ledger back.
 			ProcessBatch: func(batchID uint64, batch [][]float32) ([][]vec.Neighbor, error) {
 				var tr *telemetry.Trace
 				if *traceFlag {
@@ -317,7 +315,7 @@ func main() {
 		rep.Service.Mean, rep.Service.P50, rep.Service.P95)
 	if bat != nil {
 		s := bat.Stats()
-		fmt.Printf("grouping: %d flushes, %.1f queries/batch, %d slack holdbacks\n",
+		fmt.Printf("scheduler: %d flushes, %.1f queries/batch, %d slack holdbacks\n",
 			s.Flushes, s.MeanBatch, s.Holdbacks)
 	}
 	if cache != nil {
@@ -377,30 +375,26 @@ func printCost(total telemetry.QueryCost, n int) {
 		fmt.Printf("  %-16s %14d%-3s  mean %.1f%s/query\n", name, v, unit, float64(v)/float64(n), unit)
 	}
 	row("cells probed", total.Cells, "")
-	row("shared cells", total.SharedCells, "")
-	row("codes exclusive", total.CodesExclusive, "")
-	row("codes amortized", total.CodesAmortized, "")
-	row("codes total", total.Codes(), "")
+	row("codes scanned", total.Codes, "")
 	row("wire bytes", total.WireBytes, "B")
 	if total.ScanNanos > 0 {
 		fmt.Printf("  %-16s %14v     mean %v/query\n", "scan time",
 			time.Duration(total.ScanNanos), time.Duration(total.ScanNanos/int64(n)))
 	}
-	fmt.Printf("  shared fraction  %13.1f%%\n", 100*total.SharedFrac())
 }
 
-// printSlowestBatch renders the slowest grouped batch of a -group -trace run:
-// the stitched cross-node waterfall (shared phase spans appear once per node,
-// not once per query) followed by the per-query amortization table. The
+// printSlowestBatch renders the slowest scheduled batch of a -group -trace
+// run: the stitched cross-node waterfall (batch phase spans appear once per
+// node, not once per query) followed by the per-query attribution table. The
 // records come from the flight recorder under the batch's identity; if they
 // were evicted by later traffic, the attribution table is rebuilt from the
 // batch result kept aside at flush time.
 func printSlowestBatch(rec *telemetry.Recorder, batchID uint64, wall time.Duration, costs []telemetry.QueryCost) {
 	if batchID == 0 {
-		fmt.Println("slowest grouped batch: none (no batches flushed)")
+		fmt.Println("slowest scheduled batch: none (no batches flushed)")
 		return
 	}
-	fmt.Printf("slowest grouped batch: %016x wall=%v queries=%d\n", batchID, wall, len(costs))
+	fmt.Printf("slowest scheduled batch: %016x wall=%v queries=%d\n", batchID, wall, len(costs))
 	batch, members, ok := rec.Batch(batchID)
 	if ok && len(batch.Spans) > 0 {
 		fmt.Println(telemetry.FormatWaterfall(batch.TraceID, batch.Spans))
@@ -411,7 +405,7 @@ func printSlowestBatch(rec *telemetry.Recorder, batchID uint64, wall time.Durati
 			members[i] = telemetry.QueryRecord{Cost: c}
 		}
 	}
-	fmt.Println("per-query attribution (amortization breakdown):")
+	fmt.Println("per-query attribution:")
 	telemetry.WriteBatchAttribution(os.Stdout, members)
 }
 

@@ -12,10 +12,10 @@
 // (shard, cell) keys it is expected to probe, the flusher packs queries that
 // co-probe the seed's cells into the same batch, and a query with no overlap
 // may be held back up to Config.GroupSlack — within its MaxWait bound — to
-// ride with a better-matched cohort. Grouped batches fed to a shared-scan
-// processor (hermes.Store.SearchGrouped, or grouped distsearch requests)
-// stream each IVF cell once for all co-probing queries, which is where the
-// grouped-vs-FIFO throughput win comes from (DESIGN.md §13).
+// ride with a better-matched cohort. The scheduler only chooses which
+// queries travel together; each batch is served by the per-query scan
+// engine (hermes.Store.SearchBatch, or distsearch batch requests), see
+// DESIGN.md §13.
 package batcher
 
 import (

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/evlog"
 	"repro/internal/hermes"
 	"repro/internal/telemetry"
 	"repro/internal/vec"
@@ -23,27 +22,21 @@ type BatchResult struct {
 	// scatter/gather rounds.
 	SampleLatency, DeepLatency time.Duration
 	// Costs is the per-query cost ledger, index-aligned with the input:
-	// node-reported cells and exclusive/amortized codes plus each query's
+	// node-reported cells, codes and (traced) scan time plus each query's
 	// even share of the wire bytes of the batched round-trips that carried
-	// it. Entries stay at their wire-byte floor when no node ships ledger
-	// entries.
+	// it.
 	Costs []telemetry.QueryCost
 	// Total is the batch-level cost rollup: codes and cells summed from the
-	// node ledger entries (each node's entries conserve its distinct-scan
-	// counter exactly), scan time from the node-shipped list_scan spans
+	// node ledger entries, scan time from the node-shipped list_scan spans
 	// (traced batches only), wire bytes from the request and reply frame
-	// sizes. With ledger-shipping nodes the per-query Costs sum exactly to
-	// Total component-wise — the attribution conserves the measurement.
+	// sizes. The per-query Costs sum exactly to Total component-wise — the
+	// attribution conserves the measurement.
 	Total telemetry.QueryCost
 	// BatchID is the batch's identity: the batch trace's ID when traced,
 	// else a freshly minted ID when a flight recorder is attached (member
 	// records carry it so /debug/queries?batch= can reassemble the batch),
 	// else 0.
 	BatchID uint64
-	// Degraded counts grouped wire requests that a node served WITHOUT
-	// grouped execution — a node that ignored the Grouped flag and ran the
-	// batch per-query. 0 when grouping is off or every node groups.
-	Degraded int
 }
 
 // SearchBatch runs the hierarchical search for a whole batch using one
@@ -55,14 +48,14 @@ func (co *Coordinator) SearchBatch(queries [][]float32, p hermes.Params) (*Batch
 }
 
 // SearchBatchTraced is SearchBatch with batch-level tracing: the trace's ID
-// rides every wire request (grouped node execution stays grouped — nodes ship
-// one span per shared phase plus per-query attribution, no per-query
-// fallback), the coordinator records its own scatter/rank/gather spans, and
-// node spans from every shard are stitched in anchored at their send times.
-// When a flight recorder is attached, the batch lands as one summary record
-// under the batch ID (the grouped waterfall) plus one member record per
-// query carrying its ledger entry and BatchID — the /debug/queries?batch=
-// view. A nil trace is exactly SearchBatch.
+// rides every wire request (nodes ship one consolidated span sequence per
+// batch request plus the per-query ledger), the coordinator records its own
+// scatter/rank/gather spans, and node spans from every shard are stitched
+// in anchored at their send times. When a flight recorder is attached, the
+// batch lands as one summary record under the batch ID (the batch
+// waterfall) plus one member record per query carrying its ledger entry and
+// BatchID — the /debug/queries?batch= view. A nil trace is exactly
+// SearchBatch.
 func (co *Coordinator) SearchBatchTraced(queries [][]float32, p hermes.Params, tr *telemetry.Trace) (*BatchResult, error) {
 	return co.searchBatch(queries, p, tr)
 }
@@ -89,15 +82,14 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 
 	costs := make([]telemetry.QueryCost, len(queries))
 	var total telemetry.QueryCost
-	degraded := 0
 	var costMu sync.Mutex
 
 	// foldNodeResponse merges one node response's attribution into the
 	// per-query ledger and the batch totals: node-reported per-query entries
 	// (index-aligned with idx), an even split of the round-trip's wire bytes
 	// across the queries the request carried, and the independently sourced
-	// totals (distinct codes scanned, list_scan span time, wire bytes).
-	foldNodeResponse := func(resp *Response, wire int64, idx []int, op string) {
+	// totals (codes scanned, list_scan span time, wire bytes).
+	foldNodeResponse := func(resp *Response, wire int64, idx []int) {
 		costMu.Lock()
 		defer costMu.Unlock()
 		for slot, c := range resp.Costs {
@@ -112,21 +104,12 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 		total.WireBytes += wire
 		for _, c := range resp.Costs {
 			total.Cells += c.Cells
-			total.SharedCells += c.SharedCells
-			total.CodesExclusive += c.CodesExclusive
-			total.CodesAmortized += c.CodesAmortized
+			total.Codes += c.Codes
 		}
 		for _, ws := range resp.Spans {
 			if ws.Name == "list_scan" {
 				total.ScanNanos += ws.DurNanos
 			}
-		}
-		if co.grouped && !resp.GroupedExec {
-			degraded++
-			co.m.groupDegrades.Inc()
-			co.ev.Warn("group.degrade",
-				evlog.Int("shard", int64(resp.ShardID)), evlog.Str("op", op),
-				evlog.Int("queries", int64(len(idx))))
 		}
 	}
 
@@ -150,14 +133,14 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 			sendAt := time.Now()
 			resp, wire, err := n.roundTripBytes(&Request{
 				Op: OpSampleBatch, Queries: queries, NProbe: p.SampleNProbe,
-				Grouped: co.grouped, TraceID: tr.ID(),
+				TraceID: tr.ID(),
 			})
 			if err != nil {
 				errs[ni] = err
 				return
 			}
 			stitchSpans(tr, sendAt, resp.Spans)
-			foldNodeResponse(resp, wire, allIdx, "sample_batch")
+			foldNodeResponse(resp, wire, allIdx)
 			scores := make([]float32, len(queries))
 			oks := make([]bool, len(queries))
 			for qi, res := range resp.Batch {
@@ -230,14 +213,14 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 			sendAt := time.Now()
 			resp, wire, err := n.roundTripBytes(&Request{
 				Op: OpDeepBatch, Queries: deepQueries[ni], K: p.K, NProbe: p.DeepNProbe,
-				Grouped: co.grouped, TraceID: tr.ID(),
+				TraceID: tr.ID(),
 			})
 			if err != nil {
 				errs[ni] = err
 				return
 			}
 			stitchSpans(tr, sendAt, resp.Spans)
-			foldNodeResponse(resp, wire, deepQueryIdx[ni], "deep_batch")
+			foldNodeResponse(resp, wire, deepQueryIdx[ni])
 			mu.Lock()
 			defer mu.Unlock()
 			for slot, res := range resp.Batch {
@@ -266,7 +249,6 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 		Costs:         costs,
 		Total:         total,
 		BatchID:       batchID,
-		Degraded:      degraded,
 	}
 	for qi := range queries {
 		out.Results[qi] = merged[qi].Results()
@@ -281,7 +263,7 @@ func (co *Coordinator) searchBatch(queries [][]float32, p hermes.Params, tr *tel
 // recordBatch lands a completed batch in the flight recorder: one member
 // record per query (fresh trace ID, the shared BatchID, its ledger entry and
 // deep shards) plus one batch summary record under the batch ID itself,
-// carrying the stitched grouped waterfall and the batch totals — what
+// carrying the stitched batch waterfall and the batch totals — what
 // /debug/queries?batch=<id> renders. No-op without a recorder.
 func (co *Coordinator) recordBatch(out *BatchResult, queries [][]float32, deepQueryIdx [][]int, tr *telemetry.Trace, start time.Time) {
 	if co.rec == nil {
@@ -302,7 +284,7 @@ func (co *Coordinator) recordBatch(out *BatchResult, queries [][]float32, deepQu
 			Total:     wall,
 			Busy:      wall,
 			DeepNodes: deepNodes[qi],
-			Scanned:   out.Costs[qi].Codes(),
+			Scanned:   out.Costs[qi].Codes,
 			Cost:      out.Costs[qi],
 		}
 		co.rec.Record(qr)
@@ -313,7 +295,7 @@ func (co *Coordinator) recordBatch(out *BatchResult, queries [][]float32, deepQu
 		Start:   start,
 		Total:   wall,
 		Busy:    wall,
-		Scanned: out.Total.Codes(),
+		Scanned: out.Total.Codes,
 		Cost:    out.Total,
 	}
 	if tr != nil {

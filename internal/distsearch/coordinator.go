@@ -360,9 +360,6 @@ type Coordinator struct {
 	// lenient degrades gracefully on node failure instead of failing the
 	// query (see SetLenient).
 	lenient bool
-	// grouped asks nodes to serve SearchBatch phases through the shared
-	// multi-query cell scan (see SetGrouped).
-	grouped bool
 }
 
 // SetLenient toggles degraded-mode serving: when enabled, a node that fails
@@ -372,15 +369,6 @@ type Coordinator struct {
 // service stays up, which is how a production tier rides out node loss. A
 // query still errors if every node fails.
 func (co *Coordinator) SetLenient(lenient bool) { co.lenient = lenient }
-
-// SetGrouped toggles grouped batch execution: when enabled, SearchBatch
-// requests carry Request.Grouped, asking each node to run the sub-batch
-// through the multi-query grouped cell scan (queries probing the same IVF
-// cell share one code stream). The result sets are identical either way —
-// the flag only changes node-side execution — so it is safe against nodes
-// that ignore it and serve the batch per-query (counted as degrades).
-// Call before issuing searches; not synchronized with in-flight batches.
-func (co *Coordinator) SetGrouped(grouped bool) { co.grouped = grouped }
 
 // DialOptions configures a coordinator connection.
 type DialOptions struct {
@@ -402,10 +390,6 @@ type DialOptions struct {
 	Recorder *telemetry.Recorder
 	// Lenient starts the coordinator in degraded-mode serving (SetLenient).
 	Lenient bool
-	// Grouped starts the coordinator with grouped batch execution enabled
-	// (SetGrouped): SearchBatch asks nodes for shared multi-query cell
-	// scans.
-	Grouped bool
 	// Events, when non-nil, receives structured lifecycle events —
 	// connection poisoning, deadline hits, dials/redials, load-imbalance
 	// threshold crossings — for the /debug/events ring. Nil disables event
@@ -436,7 +420,7 @@ func DialOpts(addrs []string, opts DialOptions) (*Coordinator, error) {
 	if reg == nil {
 		reg = telemetry.Default
 	}
-	co := &Coordinator{m: newCoordMetrics(reg), rec: opts.Recorder, lenient: opts.Lenient, grouped: opts.Grouped, ev: opts.Events}
+	co := &Coordinator{m: newCoordMetrics(reg), rec: opts.Recorder, lenient: opts.Lenient, ev: opts.Events}
 	for _, addr := range addrs {
 		c, err := dialNode(addr, timeout, rtTimeout, co.m, opts.Events)
 		if err != nil {

@@ -9,19 +9,56 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/evlog"
 	"repro/internal/hermes"
 	"repro/internal/telemetry"
 )
 
-// TestSearchBatchTracedGroupedNoFallback is the tentpole acceptance: a traced
-// grouped batch executes the grouped path on every node (no per-query
-// fallback), returns results DeepEqual-identical to the untraced grouped
-// batch, and its per-query ledger entries sum exactly to the batch's measured
-// totals.
-func TestSearchBatchTracedGroupedNoFallback(t *testing.T) {
+// batchCluster builds a store, serves every shard from a real node, and
+// returns the corpus and a coordinator dialed with opts.
+func batchCluster(t *testing.T, shards int, opts DialOptions) (*corpus.Corpus, *Coordinator) {
+	t.Helper()
+	c, err := corpus.Generate(corpus.Spec{NumChunks: 900, Dim: 16, NumTopics: shards, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := hermes.Build(c.Vectors, hermes.BuildOptions{NumShards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs []string
+	for i, shard := range st.Shards {
+		node, err := NewNode(i, shard.Index, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.SetTelemetry(telemetry.NewRegistry())
+		if err := node.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		addrs = append(addrs, node.Addr())
+	}
+	if opts.Timeout == 0 {
+		opts.Timeout = time.Second
+	}
+	if opts.Telemetry == nil {
+		opts.Telemetry = telemetry.NewRegistry()
+	}
+	co, err := DialOpts(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	return c, co
+}
+
+// TestSearchBatchTracedLedger pins batch tracing and the cost ledger: a
+// traced batch returns results DeepEqual-identical to the untraced batch,
+// and per-query ledger entries sum exactly to the batch's measured totals,
+// traced and untraced.
+func TestSearchBatchTracedLedger(t *testing.T) {
 	const shards = 3
-	c, co, regs := groupedCluster(t, shards, DialOptions{Grouped: true})
+	c, co := batchCluster(t, shards, DialOptions{})
 	qs := c.Queries(16, 31)
 	queries := make([][]float32, qs.Vectors.Len())
 	for i := range queries {
@@ -33,23 +70,13 @@ func TestSearchBatchTracedGroupedNoFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupedBefore := groupscanTotal(regs)
-
 	tr := telemetry.NewTrace()
 	traced, err := co.SearchBatchTraced(queries, p, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(traced.Results, plain.Results) {
-		t.Fatal("traced grouped batch drifted from the untraced grouped answer")
-	}
-	if traced.Degraded != 0 || plain.Degraded != 0 {
-		t.Fatalf("current nodes reported degrades: traced=%d plain=%d", traced.Degraded, plain.Degraded)
-	}
-	// The traced batch moved the nodes' groupscan counters: grouped
-	// execution, not the old per-query fallback.
-	if after := groupscanTotal(regs); after < groupedBefore+float64(len(queries)*shards) {
-		t.Fatalf("groupscan counters %v -> %v: traced batch did not run grouped", groupedBefore, after)
+		t.Fatal("traced batch drifted from the untraced answer")
 	}
 	if traced.BatchID != tr.ID() {
 		t.Fatalf("BatchID %x != trace ID %x", traced.BatchID, tr.ID())
@@ -59,7 +86,7 @@ func TestSearchBatchTracedGroupedNoFallback(t *testing.T) {
 	// component-wise.
 	var sum telemetry.QueryCost
 	for i, cst := range traced.Costs {
-		if cst.Codes() == 0 || cst.Cells == 0 {
+		if cst.Codes == 0 || cst.Cells == 0 {
 			t.Fatalf("query %d ledger empty: %+v", i, cst)
 		}
 		if cst.WireBytes <= 0 {
@@ -81,7 +108,7 @@ func TestSearchBatchTracedGroupedNoFallback(t *testing.T) {
 		if cst.ScanNanos != 0 {
 			t.Fatalf("untraced query %d carries scan time: %+v", i, cst)
 		}
-		if cst.Codes() == 0 || cst.WireBytes <= 0 {
+		if cst.Codes == 0 || cst.WireBytes <= 0 {
 			t.Fatalf("untraced query %d ledger empty: %+v", i, cst)
 		}
 		untracedSum.Add(cst)
@@ -89,146 +116,38 @@ func TestSearchBatchTracedGroupedNoFallback(t *testing.T) {
 	if untracedSum != plain.Total {
 		t.Fatalf("untraced ledger does not conserve: sum %+v != total %+v", untracedSum, plain.Total)
 	}
-	if sum.Cells != untracedSum.Cells || sum.Codes() != untracedSum.Codes() {
+	if sum.Cells != untracedSum.Cells || sum.Codes != untracedSum.Codes {
 		t.Fatalf("traced and untraced batches did different work: %+v vs %+v", sum, untracedSum)
 	}
 
-	// The grouped waterfall: coordinator phases once, plus node spans from
-	// every shard — each shared phase span appears once per node, not once
-	// per query.
-	spans := tr.Spans()
+	// The batch waterfall: coordinator phases once, plus node spans from
+	// every shard. Each batch request ships one consolidated span sequence,
+	// so list_scan appears once per request, not once per query.
 	nodesSeen := map[int]bool{}
 	scans := 0
-	for _, s := range spans {
+	for _, s := range tr.Spans() {
 		if s.Name == "list_scan" {
 			nodesSeen[s.Node] = true
 			scans++
 		}
 	}
 	if len(nodesSeen) != shards {
-		t.Fatalf("list_scan spans from %d nodes, want all %d: %v", len(nodesSeen), shards, spans)
+		t.Fatalf("list_scan spans from %d nodes, want all %d", len(nodesSeen), shards)
 	}
-	// Sample phase ships one list_scan per node; deep adds at most one more
-	// per loaded node. Far fewer than one per query proves sharing.
 	if scans > 2*shards {
-		t.Fatalf("%d list_scan spans for %d queries x %d shards: per-query execution leaked in", scans, len(queries), shards)
+		t.Fatalf("%d list_scan spans for %d queries x %d shards: per-query spans leaked in", scans, len(queries), shards)
 	}
 }
 
-func groupscanTotal(regs []*telemetry.Registry) float64 {
-	total := 0.0
-	for i, reg := range regs {
-		total += reg.Snapshot()[`hermes_node_groupscan_queries_total{shard="`+strconv.Itoa(i)+`"}`]
-	}
-	return total
-}
-
-// TestGroupedDegradeObservable runs a grouped coordinator over a mixed
-// cluster and requires the silent degrade to become visible: the batch
-// reports it, the hermes_coordinator_group_degrade_total counter moves, and a
-// group.degrade event lands in the log — while results stay correct.
-func TestGroupedDegradeObservable(t *testing.T) {
-	const shards = 2
-	c, err := corpus.Generate(corpus.Spec{NumChunks: 700, Dim: 16, NumTopics: shards, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := hermes.Build(c.Vectors, hermes.BuildOptions{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewNode(0, st.Shards[0].Index, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.SetTelemetry(telemetry.NewRegistry())
-	if err := node.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-
-	reg := telemetry.NewRegistry()
-	ev := evlog.New(evlog.Config{Capacity: 64})
-	co, err := DialOpts([]string{node.Addr(), servePerQueryNode(t, 1, st.Shards[1].Index)}, DialOptions{
-		Timeout: time.Second, Telemetry: reg, Grouped: true, Events: ev,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	qs := c.Queries(10, 29)
-	queries := make([][]float32, qs.Vectors.Len())
-	for i := range queries {
-		queries[i] = qs.Vectors.Row(i)
-	}
-	res, err := co.SearchBatch(queries, hermes.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The old node answers the sample round (and possibly a deep round)
-	// without GroupedExec; the current node must not be counted.
-	if res.Degraded < 1 {
-		t.Fatalf("Degraded = %d, want >= 1 for a mixed cluster", res.Degraded)
-	}
-	if got := reg.Snapshot()["hermes_coordinator_group_degrade_total"]; got != float64(res.Degraded) {
-		t.Fatalf("group_degrade_total = %v, want %d", got, res.Degraded)
-	}
-	found := false
-	for _, e := range ev.Events() {
-		if e.Name == "group.degrade" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no group.degrade event emitted")
-	}
-	// The degraded queries keep a wire-byte floor in the ledger even though
-	// the old node shipped no cost entries.
-	for i, cst := range res.Costs {
-		if cst.WireBytes <= 0 {
-			t.Fatalf("degraded query %d lost its wire-byte floor: %+v", i, cst)
-		}
-	}
-
-	// An all-current cluster run in the same process keeps the counter
-	// untouched (no false degrades).
-	before := reg.Snapshot()["hermes_coordinator_group_degrade_total"]
-	node2, err := NewNode(1, st.Shards[1].Index, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node2.SetTelemetry(telemetry.NewRegistry())
-	if err := node2.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
-	co2, err := DialOpts([]string{node.Addr(), node2.Addr()}, DialOptions{
-		Timeout: time.Second, Telemetry: reg, Grouped: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co2.Close()
-	if res2, err := co2.SearchBatch(queries, hermes.DefaultParams()); err != nil {
-		t.Fatal(err)
-	} else if res2.Degraded != 0 {
-		t.Fatalf("all-current cluster reported %d degrades", res2.Degraded)
-	}
-	if after := reg.Snapshot()["hermes_coordinator_group_degrade_total"]; after != before {
-		t.Fatalf("degrade counter moved on an all-current cluster: %v -> %v", before, after)
-	}
-}
-
-// TestGroupedBatchE2EDebugQueries is the real-TCP end-to-end: a traced
-// grouped batch over live nodes lands in the flight recorder as one batch
-// summary (grouped waterfall with shared node spans from every shard) plus
-// member records, and /debug/queries?batch= renders the waterfall and the
-// attribution table whose totals row matches the batch.
-func TestGroupedBatchE2EDebugQueries(t *testing.T) {
+// TestBatchE2EDebugQueries is the real-TCP end-to-end: a traced batch over
+// live nodes lands in the flight recorder as one batch summary (waterfall
+// with node spans from every shard) plus member records, and
+// /debug/queries?batch= renders the waterfall and the attribution table
+// whose totals row matches the batch.
+func TestBatchE2EDebugQueries(t *testing.T) {
 	const shards = 3
 	rec := telemetry.NewRecorder(128, time.Hour)
-	c, co, _ := groupedCluster(t, shards, DialOptions{Grouped: true, Recorder: rec})
+	c, co := batchCluster(t, shards, DialOptions{Recorder: rec})
 	qs := c.Queries(12, 37)
 	queries := make([][]float32, qs.Vectors.Len())
 	for i := range queries {
@@ -272,11 +191,11 @@ func TestGroupedBatchE2EDebugQueries(t *testing.T) {
 	rec.ServeQueries(w, httptest.NewRequest("GET", "/debug/queries?batch="+id, nil))
 	body := w.Body.String()
 	for _, want := range []string{
-		"grouped batch",
-		"per-query attribution (amortization breakdown):",
-		"codes_amort",
-		// Shared node spans render with their shard qualifier in the
-		// waterfall (stitched from every node's shipped spans).
+		"batch " + strings.Repeat("0", 16-len(id)) + id,
+		"per-query attribution:",
+		"codes",
+		// Node spans render with their shard qualifier in the waterfall
+		// (stitched from every node's shipped spans).
 		"n0.list_scan", "n1.list_scan", "n2.list_scan",
 	} {
 		if !strings.Contains(body, want) {

@@ -18,7 +18,7 @@ package distsearch
 //
 //	OpInfo                     Version
 //	OpSample, OpDeep           TraceID K NProbe Query
-//	OpSampleBatch, OpDeepBatch TraceID Grouped K NProbe Queries
+//	OpSampleBatch, OpDeepBatch TraceID K NProbe Queries
 //	OpAdd                      ID Query
 //	OpRemove                   ID
 //	OpShutdown, OpCompact,
@@ -28,13 +28,14 @@ package distsearch
 //
 //	OpInfo                     Version Size Dim Centroid
 //	OpSample, OpDeep           Scanned Neighbors Costs Spans
-//	OpSampleBatch, OpDeepBatch Scanned GroupedExec Batch Costs Spans
+//	OpSampleBatch, OpDeepBatch Scanned Batch Costs Spans
 //	OpAdd, OpRemove, OpCompact OK
 //	OpShutdown                 (nothing more)
 //	OpStats                    gob(statsBody)
 //	OpMetricsSnap              gob(metricsBody)
 //
-// An opError reply's body is the error text alone. Spans come last, so a
+// A cost entry is Cells Codes ScanNanos WireBytes. An opError reply's body
+// is the error text alone. Spans come last, so a
 // node can time the encode of everything before them and append the encode
 // span as the frame's final record.
 
@@ -55,7 +56,7 @@ import (
 // ProtocolVersion is the frame protocol this package speaks. The OpInfo
 // handshake carries it both ways and any mismatch fails Dial. Versions up
 // to 6 were the gob stream, which has no decoder here.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 const (
 	// frameHeaderLen is the length field plus the request ID.
@@ -185,7 +186,6 @@ func encodeRequest(buf []byte, id uint64, req *Request) []byte {
 		buf = appendFloats(buf, req.Query)
 	case OpSampleBatch, OpDeepBatch:
 		buf = binary.AppendUvarint(buf, req.TraceID)
-		buf = appendBool(buf, req.Grouped)
 		buf = binary.AppendVarint(buf, int64(req.K))
 		buf = binary.AppendVarint(buf, int64(req.NProbe))
 		buf = binary.AppendUvarint(buf, uint64(len(req.Queries)))
@@ -223,7 +223,6 @@ func decodeRequest(frame []byte, req *Request) error {
 		req.Query = r.floats()
 	case OpSampleBatch, OpDeepBatch:
 		req.TraceID = r.uvarint()
-		req.Grouped = r.bool()
 		req.K = r.int()
 		req.NProbe = r.int()
 		if n := r.count(1); n > 0 {
@@ -271,7 +270,6 @@ func encodeReply(buf []byte, id uint64, op Op, resp *Response, extraSpans int) (
 		buf = appendSpans(buf, resp.Spans, extraSpans)
 	case OpSampleBatch, OpDeepBatch:
 		buf = binary.AppendVarint(buf, resp.Scanned)
-		buf = appendBool(buf, resp.GroupedExec)
 		buf = binary.AppendUvarint(buf, uint64(len(resp.Batch)))
 		for _, res := range resp.Batch {
 			buf = appendNeighbors(buf, res)
@@ -322,7 +320,6 @@ func decodeReply(frame []byte, op Op, resp *Response) error {
 		resp.Spans = r.spans()
 	case OpSampleBatch, OpDeepBatch:
 		resp.Scanned = r.varint()
-		resp.GroupedExec = r.bool()
 		if n := r.count(1); n > 0 {
 			resp.Batch = make([][]vec.Neighbor, n)
 			for i := range resp.Batch {
@@ -425,9 +422,7 @@ func appendCosts(buf []byte, v []telemetry.QueryCost) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
 	for _, c := range v {
 		buf = binary.AppendVarint(buf, c.Cells)
-		buf = binary.AppendVarint(buf, c.SharedCells)
-		buf = binary.AppendVarint(buf, c.CodesExclusive)
-		buf = binary.AppendVarint(buf, c.CodesAmortized)
+		buf = binary.AppendVarint(buf, c.Codes)
 		buf = binary.AppendVarint(buf, c.ScanNanos)
 		buf = binary.AppendVarint(buf, c.WireBytes)
 	}
@@ -564,14 +559,12 @@ func (r *wireReader) neighbors() []vec.Neighbor {
 //hermes:hotpath
 func (r *wireReader) costs() []telemetry.QueryCost {
 	var v []telemetry.QueryCost
-	if n := r.count(6); n > 0 {
+	if n := r.count(4); n > 0 {
 		v = make([]telemetry.QueryCost, n)
 		for i := range v {
 			c := &v[i]
 			c.Cells = r.varint()
-			c.SharedCells = r.varint()
-			c.CodesExclusive = r.varint()
-			c.CodesAmortized = r.varint()
+			c.Codes = r.varint()
 			c.ScanNanos = r.varint()
 			c.WireBytes = r.varint()
 		}

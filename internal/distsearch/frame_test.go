@@ -37,14 +37,14 @@ func frameCases() []frameCase {
 			req:  Request{Op: OpSample, Query: []float32{1, 0.25}, NProbe: 8},
 			resp: Response{ShardID: 3, ServerNanos: 9000, Scanned: 64,
 				Neighbors: []vec.Neighbor{{ID: 42, Score: 0.75}},
-				Costs:     []telemetry.QueryCost{{Cells: 8, CodesExclusive: 64}}},
+				Costs:     []telemetry.QueryCost{{Cells: 8, Codes: 64}}},
 		},
 		{
 			name: "deep",
 			req:  Request{Op: OpDeep, Query: []float32{1, 0.25}, K: 2, NProbe: 128, TraceID: 0xfeed},
 			resp: Response{ShardID: 3, ServerNanos: 52000, Scanned: 900,
 				Neighbors: []vec.Neighbor{{ID: 42, Score: 0.75}, {ID: -7, Score: 1.5}},
-				Costs:     []telemetry.QueryCost{{Cells: 128, CodesExclusive: 900, ScanNanos: 40000}},
+				Costs:     []telemetry.QueryCost{{Cells: 128, Codes: 900, ScanNanos: 40000}},
 				Spans: []WireSpan{
 					{Name: "decode", Node: 3, OffsetNanos: 0, DurNanos: 800},
 					{Name: "list_scan", Node: 3, OffsetNanos: 2000, DurNanos: 40000},
@@ -57,12 +57,12 @@ func frameCases() []frameCase {
 		},
 		{
 			name: "sample_batch",
-			req:  Request{Op: OpSampleBatch, Queries: [][]float32{{1, 2}, {3, 4}}, NProbe: 8, Grouped: true},
-			resp: Response{ShardID: 3, ServerNanos: 20000, Scanned: 96, GroupedExec: true,
+			req:  Request{Op: OpSampleBatch, Queries: [][]float32{{1, 2}, {3, 4}}, NProbe: 8},
+			resp: Response{ShardID: 3, ServerNanos: 20000, Scanned: 96,
 				Batch: [][]vec.Neighbor{{{ID: 1, Score: 0.5}}, {{ID: 2, Score: 0.25}}},
 				Costs: []telemetry.QueryCost{
-					{Cells: 8, SharedCells: 2, CodesExclusive: 40, CodesAmortized: 8},
-					{Cells: 8, SharedCells: 2, CodesExclusive: 40, CodesAmortized: 8},
+					{Cells: 8, Codes: 48},
+					{Cells: 8, Codes: 48},
 				}},
 		},
 		{
@@ -70,7 +70,7 @@ func frameCases() []frameCase {
 			req:  Request{Op: OpDeepBatch, Queries: [][]float32{{1, 2}}, K: 2, NProbe: 128, TraceID: 9},
 			resp: Response{ShardID: 3, ServerNanos: 70000, Scanned: 500,
 				Batch: [][]vec.Neighbor{{{ID: 5, Score: 0.125}, {ID: 6, Score: 2}}, nil},
-				Costs: []telemetry.QueryCost{{Cells: 128, CodesExclusive: 500, ScanNanos: 60000}},
+				Costs: []telemetry.QueryCost{{Cells: 128, Codes: 500, ScanNanos: 60000}},
 				Spans: []WireSpan{{Name: "topk_merge", Node: 3, OffsetNanos: 61000, DurNanos: 900}}},
 		},
 		{
@@ -117,28 +117,28 @@ func frameCases() []frameCase {
 // depend on test order and are checked by round trip only.
 var goldenFrames = map[string][2]string{
 	"info": {
-		"0a0000000700000000000000010e",
-		"1900000007000000000000000106b8170e801004020000003f000080bf",
+		"0a00000007000000000000000110",
+		"1900000007000000000000000106b81710801004020000003f000080bf",
 	},
 	"sample": {
 		"15000000070000000000000002000010020000803f0000803e",
-		"1e00000007000000000000000206d08c01800101540000403f011000800100000000",
+		"1c00000007000000000000000206d08c01800101540000403f01108001000000",
 	},
 	"deep": {
 		"18000000070000000000000003edfd03048002020000803f0000803e",
-		"4100000007000000000000000306c0ac06880e02540000403f0d0000c03f01800200880e0080f1040002066465636f64650600c00c096c6973745f7363616e06a01f80f104",
+		"3f00000007000000000000000306c0ac06880e02540000403f0d0000c03f018002880e80f1040002066465636f64650600c00c096c6973745f7363616e06a01f80f104",
 	},
 	"shutdown": {
 		"09000000070000000000000004",
 		"0c00000007000000000000000406c801",
 	},
 	"sample_batch": {
-		"200000000700000000000000050001001002020000803f00000040020000404000008040",
-		"2b00000007000000000000000506c0b802c001010201020000003f01040000803e0210045010000010045010000000",
+		"1f00000007000000000000000500001002020000803f00000040020000404000008040",
+		"2600000007000000000000000506c0b802c0010201020000003f01040000803e02106000001060000000",
 	},
 	"deep_batch": {
-		"18000000070000000000000006090004800201020000803f00000040",
-		"3a00000007000000000000000606e0c508e8070002020a0000003e0c000000400001800200e80700c0a90700010a746f706b5f6d657267650690b907880e",
+		"170000000700000000000000060904800201020000803f00000040",
+		"3700000007000000000000000606e0c508e80702020a0000003e0c0000004000018002e807c0a90700010a746f706b5f6d657267650690b907880e",
 	},
 	"add": {
 		"14000000070000000000000007a413020000003f0000003f",
@@ -241,7 +241,6 @@ func TestFrameDecodeRejects(t *testing.T) {
 		"count past end":    {byte(OpSample), 0, 0, 16, 0x7f, 0, 0, 0, 0},
 		"non-minimal":       {byte(OpSample), 0x80, 0x00, 0, 16, 0},
 		"trailing byte":     append(bytes.Clone(body), 0),
-		"bad bool":          {byte(OpSampleBatch), 0, 2, 0, 16, 0},
 		"truncated float":   body[:len(body)-1],
 		"huge query count":  {byte(OpSampleBatch), 0, 0, 0, 16, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"unknown op":        {0x7e},
@@ -260,6 +259,11 @@ func TestFrameDecodeRejects(t *testing.T) {
 	var resp Response
 	if err := decodeReply(reply[frameHeaderLen:], OpDeep, &resp); !errors.Is(err, errReplyOp) {
 		t.Errorf("reply for another op: err %v, want errReplyOp", err)
+	}
+	// OpAdd reply: ShardID, ServerNanos, then an OK byte that is neither 0
+	// nor 1.
+	if err := decodeReply([]byte{byte(OpAdd), 6, 0, 2}, OpAdd, &resp); err == nil {
+		t.Error("bad bool: decodeReply accepted an OK byte of 2")
 	}
 }
 
@@ -287,12 +291,12 @@ func TestSearchWireBytesAreFrameSizes(t *testing.T) {
 	const dim = 4
 	sampleReply := func(shard int) *Response {
 		return &Response{ShardID: shard, Scanned: 30, Neighbors: []vec.Neighbor{{ID: int64(shard), Score: float32(shard)}},
-			Costs: []telemetry.QueryCost{{Cells: 8, CodesExclusive: 30}}}
+			Costs: []telemetry.QueryCost{{Cells: 8, Codes: 30}}}
 	}
 	deepReply := func(shard int) *Response {
 		return &Response{ShardID: shard, Scanned: 300,
 			Neighbors: []vec.Neighbor{{ID: int64(shard * 10), Score: 0.5}, {ID: int64(shard*10 + 1), Score: 0.75}},
-			Costs:     []telemetry.QueryCost{{Cells: 64, CodesExclusive: 300}}}
+			Costs:     []telemetry.QueryCost{{Cells: 64, Codes: 300}}}
 	}
 	var addrs []string
 	for shard := 0; shard < 2; shard++ {
@@ -382,7 +386,7 @@ func TestDialRejectsGobAndWrongVersionPeers(t *testing.T) {
 			_ = gob.NewEncoder(conn).Encode(&Response{Dim: 4})
 		}()
 		err = dial(ln.Addr().String())
-		for _, want := range []string{"v7", "v6"} {
+		for _, want := range []string{"v8", "v6"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not name %s", err, want)
 			}
@@ -403,8 +407,8 @@ func TestDialRejectsGobAndWrongVersionPeers(t *testing.T) {
 			close(accepted)
 		}()
 		err = dial(ln.Addr().String())
-		if !strings.Contains(err.Error(), "v7") {
-			t.Errorf("error %q does not name v7", err)
+		if !strings.Contains(err.Error(), "v8") {
+			t.Errorf("error %q does not name v8", err)
 		}
 		if conn := <-accepted; conn != nil {
 			_ = conn.Close()
@@ -418,7 +422,7 @@ func TestDialRejectsGobAndWrongVersionPeers(t *testing.T) {
 			return info
 		})
 		err := dial(addr)
-		for _, want := range []string{"v99", "v7"} {
+		for _, want := range []string{"v99", "v8"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not name %s", err, want)
 			}
@@ -434,7 +438,7 @@ func TestDialRejectsGobAndWrongVersionPeers(t *testing.T) {
 		defer conn.Close()
 		var s frameStream
 		s.reset(conn)
-		if _, err := conn.Write(requestFrame(t, 1, &Request{Op: OpInfo, Version: 6})); err != nil {
+		if _, err := conn.Write(requestFrame(t, 1, &Request{Op: OpInfo, Version: 7})); err != nil {
 			t.Fatal(err)
 		}
 		_, frame, _, err := s.read()
@@ -445,7 +449,7 @@ func TestDialRejectsGobAndWrongVersionPeers(t *testing.T) {
 		if err := decodeReply(frame, OpInfo, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(resp.Err, "v6") || !strings.Contains(resp.Err, "v7") {
+		if !strings.Contains(resp.Err, "v7") || !strings.Contains(resp.Err, "v8") {
 			t.Errorf("handshake error %q does not name both versions", resp.Err)
 		}
 	})

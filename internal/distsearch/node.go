@@ -295,8 +295,8 @@ func (n *Node) meanCentroid() []float32 {
 // searchResp serves one single-query search. Untraced requests take the
 // clock-free path; a traced request (TraceID != 0) runs the phased search
 // and ships the per-phase spans in the response. Either way the response
-// carries the query's cost-ledger entry: a solo query's codes are all
-// exclusive, and its scan time (traced only) is the measured list-scan phase.
+// carries the query's cost-ledger entry, whose scan time (traced only) is
+// the measured list-scan phase.
 func (n *Node) searchResp(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
 	if req.TraceID == 0 {
 		res, st := n.scan(req.Query, k, nProbe)
@@ -304,7 +304,7 @@ func (n *Node) searchResp(req *Request, k, nProbe int, arrival, decodeDone time.
 			ShardID:   n.shardID,
 			Neighbors: res,
 			Scanned:   int64(st.VectorsScanned),
-			Costs:     []telemetry.QueryCost{soloCost(st, 0)},
+			Costs:     []telemetry.QueryCost{scanCost(st, 0)},
 		}
 	}
 	scanStart := now()
@@ -313,29 +313,21 @@ func (n *Node) searchResp(req *Request, k, nProbe int, arrival, decodeDone time.
 		ShardID:   n.shardID,
 		Neighbors: res,
 		Scanned:   int64(st.VectorsScanned),
-		Costs:     []telemetry.QueryCost{soloCost(st, ph.Scan)},
+		Costs:     []telemetry.QueryCost{scanCost(st, ph.Scan)},
 		Spans:     n.tracedSpans(arrival, decodeDone, scanStart, ph),
 	}
 }
 
-// soloCost is the ledger entry of a query that shared nothing: every scanned
-// code is exclusive, no cells were co-probed.
-func soloCost(st ivf.SearchStats, scanNanos int64) telemetry.QueryCost {
+// scanCost is the ledger entry of one query's scan on this node.
+func scanCost(st ivf.SearchStats, scanNanos int64) telemetry.QueryCost {
 	return telemetry.QueryCost{
-		Cells:          int64(st.CellsProbed),
-		CodesExclusive: int64(st.VectorsScanned),
-		ScanNanos:      scanNanos,
+		Cells:     int64(st.CellsProbed),
+		Codes:     int64(st.VectorsScanned),
+		ScanNanos: scanNanos,
 	}
 }
 
 func (n *Node) handleBatch(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
-	if req.Grouped {
-		// Grouped execution is first-class traced or not (ISSUE 9): a traced
-		// batch runs the same grouped scan phased, shipping one span per
-		// shared phase plus the per-query attribution ledger — no per-query
-		// fallback, so tracing no longer changes what gets measured.
-		return n.groupedBatch(req, k, nProbe, arrival, decodeDone)
-	}
 	batch := make([][]vec.Neighbor, len(req.Queries))
 	costs := make([]telemetry.QueryCost, len(req.Queries))
 	traced := req.TraceID != 0
@@ -352,13 +344,13 @@ func (n *Node) handleBatch(req *Request, k, nProbe int, arrival, decodeDone time
 		if traced {
 			res, st, ph := n.scanPhased(q, k, nProbe)
 			batch[i] = res
-			costs[i] = soloCost(st, ph.Scan)
+			costs[i] = scanCost(st, ph.Scan)
 			scanned += int64(st.VectorsScanned)
 			agg.Add(ph)
 		} else {
 			res, st := n.scan(q, k, nProbe)
 			batch[i] = res
-			costs[i] = soloCost(st, 0)
+			costs[i] = scanCost(st, 0)
 			scanned += int64(st.VectorsScanned)
 		}
 	}
@@ -369,65 +361,6 @@ func (n *Node) handleBatch(req *Request, k, nProbe int, arrival, decodeDone time
 		// durations are the per-phase sums — busy time is exact, the
 		// offsets within the batch are a presentation choice.
 		resp.Spans = n.tracedSpans(arrival, decodeDone, scanStart, agg)
-	}
-	return resp
-}
-
-// groupedBatch serves a batch op through the multi-query grouped cell scan:
-// queries probing the same IVF cell share one code stream. The result set is
-// identical to per-query execution; Scanned reports the vectors actually
-// streamed (distinct), so on an overlapping batch it is smaller than the
-// per-query path would report — that gap is the work the grouping saved.
-// Costs attributes that distinct traffic back to the member queries
-// (exclusive vs amortized, summing exactly to Scanned), and a traced request
-// additionally runs the scan phased: the shared phases ship as one
-// probe_select/list_scan/topk_merge span sequence for the whole batch, and
-// each query's ScanNanos carries its codes-proportional share of the
-// measured list-scan time.
-func (n *Node) groupedBatch(req *Request, k, nProbe int, arrival, decodeDone time.Time) *Response {
-	for i, q := range req.Queries {
-		if len(q) != n.index.Dim() {
-			return &Response{Err: fmt.Sprintf("node %d: batch query %d dim %d != %d", n.shardID, i, len(q), n.index.Dim())}
-		}
-	}
-	traced := req.TraceID != 0
-	scanStart := decodeDone
-	if traced {
-		scanStart = now()
-	}
-	// scanSeconds is deliberately not observed here: it is a per-query
-	// histogram and the grouped scan has no per-query wall time — one
-	// observation per batch would skew its quantiles.
-	batch, stats, ph, gcosts := n.index.SearchGroupCosted(req.Queries, k, nProbe, traced)
-	n.met.groupscanQueries.Add(int64(len(req.Queries)))
-	n.met.groupscanShared.Add(int64(stats.SharedCellScans))
-	costs := make([]telemetry.QueryCost, len(gcosts))
-	for i, c := range gcosts {
-		costs[i] = telemetry.QueryCost{
-			Cells:          int64(c.CellsProbed),
-			SharedCells:    int64(c.SharedCells),
-			CodesExclusive: c.CodesExclusive,
-			CodesAmortized: c.CodesAmortized,
-		}
-	}
-	if traced && ph.Scan > 0 {
-		weights := make([]int64, len(costs))
-		for i := range costs {
-			weights[i] = costs[i].Codes()
-		}
-		for i, share := range telemetry.AttributeTotal(ph.Scan, weights) {
-			costs[i].ScanNanos = share
-		}
-	}
-	resp := &Response{
-		ShardID:     n.shardID,
-		Batch:       batch,
-		Scanned:     int64(stats.VectorsScanned),
-		Costs:       costs,
-		GroupedExec: true,
-	}
-	if traced {
-		resp.Spans = n.tracedSpans(arrival, decodeDone, scanStart, ph)
 	}
 	return resp
 }

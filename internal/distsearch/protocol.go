@@ -67,13 +67,6 @@ type Request struct {
 	// TraceID carries the coordinator-minted request-scoped trace ID; 0
 	// means untraced.
 	TraceID uint64
-	// Grouped asks the node to execute OpSampleBatch/OpDeepBatch through
-	// the multi-query grouped cell scan (ivf.SearchGroup): queries probing
-	// the same IVF cell share one code stream. Results are the same set as
-	// per-query execution, so the flag is purely an execution hint; a node
-	// that ignores it serves the batch per-query and says so through
-	// Response.GroupedExec.
-	Grouped bool
 	// Version is the coordinator's ProtocolVersion (OpInfo only).
 	Version int
 }
@@ -128,16 +121,10 @@ type Response struct {
 	// Costs is the per-query resource-attribution ledger for this request:
 	// index-aligned with Request.Queries for the batch ops, a single entry
 	// for OpSample/OpDeep. Each entry accounts the cells this query probed,
-	// the codes streamed for it split exclusive vs shared-amortized, and —
-	// for traced requests — its share of the node's measured scan time.
-	// WireBytes is left zero by nodes (only the coordinator can see the
-	// wire) and filled in coordinator-side from the frame sizes.
+	// the codes scanned for it, and — for traced requests — its measured
+	// scan time. WireBytes is left zero by nodes (only the coordinator can
+	// see the wire) and filled in coordinator-side from the frame sizes.
 	Costs []telemetry.QueryCost
-	// GroupedExec reports that the node actually executed the batch through
-	// the grouped scan. A node that served a Grouped request per-query
-	// leaves it false, which is how the coordinator detects — and counts —
-	// the degrade.
-	GroupedExec bool
 }
 
 // WireSpan is one node-side phase shipped inside a Response.

@@ -62,19 +62,13 @@ type coordMetrics struct {
 	batchSize    *telemetry.Histogram
 	byOp         map[Op]*telemetry.Counter
 
-	// groupDegrades counts grouped batch requests a node served without
-	// grouped execution (Response.GroupedExec false: the node ignored the
-	// Grouped flag and ran per-query).
-	groupDegrades *telemetry.Counter
-
 	// Per-query cost-ledger histograms (hermes_query_cost_*): one observation
-	// per completed query, grouped or not, from the coordinator's assembled
+	// per completed query, solo or batched, from the coordinator's assembled
 	// QueryCost.
-	costScan   *telemetry.Histogram
-	costWire   *telemetry.Histogram
-	costShared *telemetry.Histogram
-	costCells  *telemetry.Histogram
-	costCodes  *telemetry.Histogram
+	costScan  *telemetry.Histogram
+	costWire  *telemetry.Histogram
+	costCells *telemetry.Histogram
+	costCodes *telemetry.Histogram
 }
 
 func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
@@ -99,22 +93,17 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 		batchSize: reg.Histogram("hermes_coordinator_batch_size",
 			"queries per SearchBatch call", telemetry.DefSizeBuckets),
 		byOp: make(map[Op]*telemetry.Counter, len(allOps)),
-		groupDegrades: reg.Counter("hermes_coordinator_group_degrade_total",
-			"grouped batch requests a node degraded to per-query execution"),
 		costScan: reg.Histogram("hermes_query_cost_scan_seconds",
-			"per-query attributed scan time (codes-proportional share of measured scan phases; traced queries only)",
+			"per-query measured scan time (traced queries only)",
 			telemetry.DefLatencyBuckets),
 		costWire: reg.Histogram("hermes_query_cost_wire_bytes",
 			"per-query attributed coordinator<->node wire traffic", telemetry.DefByteBuckets),
-		costShared: reg.Histogram("hermes_query_cost_shared_ratio",
-			"fraction of a query's attributed codes that came from shared (amortized) cell streams",
-			[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 1}),
 		//lint:ignore metricname probed cells are a dimensionless count per query, not a unit-bearing quantity
 		costCells: reg.Histogram("hermes_query_cost_cells",
 			"IVF cells probed per query across all shards and phases", telemetry.DefSizeBuckets),
 		//lint:ignore metricname attributed codes are a dimensionless count per query, not a unit-bearing quantity
 		costCodes: reg.Histogram("hermes_query_cost_codes",
-			"codes attributed per query (exclusive + shared-amortized)", defCodeBuckets),
+			"codes scanned per query across all shards and phases", defCodeBuckets),
 	}
 	for _, op := range allOps {
 		m.byOp[op] = reg.Counter("hermes_distsearch_requests_total",
@@ -136,9 +125,8 @@ func (m *coordMetrics) observeCost(c telemetry.QueryCost) {
 		m.costScan.ObserveDuration(time.Duration(c.ScanNanos))
 	}
 	m.costWire.Observe(float64(c.WireBytes))
-	m.costShared.Observe(c.SharedFrac())
 	m.costCells.Observe(float64(c.Cells))
-	m.costCodes.Observe(float64(c.Codes()))
+	m.costCodes.Observe(float64(c.Codes))
 }
 
 func (m *coordMetrics) opCounter(op Op) *telemetry.Counter {
@@ -184,11 +172,6 @@ type nodeMetrics struct {
 	// quantizer kind so /metrics answers "how fast does each compression
 	// scheme scan" per node; the coordinator -stats view surfaces its p95.
 	scanSeconds *telemetry.Histogram
-	// groupscanQueries / groupscanShared account the grouped batch path:
-	// queries served through ivf.SearchGroup and the per-cell code streams
-	// the grouping avoided versus per-query execution.
-	groupscanQueries *telemetry.Counter
-	groupscanShared  *telemetry.Counter
 }
 
 func newNodeMetrics(reg *telemetry.Registry, shardID int, quantizer string) *nodeMetrics {
@@ -202,10 +185,6 @@ func newNodeMetrics(reg *telemetry.Registry, shardID int, quantizer string) *nod
 		scanSeconds: reg.Histogram("hermes_node_scan_seconds",
 			"per-query index scan time by shard and quantizer kind",
 			telemetry.DefLatencyBuckets, "shard", shard, "quantizer", quantizer),
-		groupscanQueries: reg.Counter("hermes_node_groupscan_queries_total",
-			"batch queries served through the grouped multi-query cell scan", "shard", shard),
-		groupscanShared: reg.Counter("hermes_node_groupscan_shared_scans_total",
-			"per-cell code streams saved by grouped batch execution", "shard", shard),
 	}
 	for _, op := range allOps {
 		m.requests[op] = reg.Counter("hermes_node_requests_total",

@@ -105,8 +105,6 @@ type Store struct {
 	slowScan time.Duration
 	// pool recycles searchScratch across queries (see scratch.go).
 	pool sync.Pool
-	// groupPool recycles groupScratch across grouped batches (see grouped.go).
-	groupPool sync.Pool
 }
 
 // BuildOptions configures disaggregation and per-shard index construction.
@@ -500,6 +498,39 @@ func (st *Store) SearchFirstN(q []float32, p Params, n int) ([]vec.Neighbor, Sea
 	return tk.Results(), stats
 }
 
+// PredictCells is the batcher's grouping signal (batcher.PredictFunc shape):
+// it returns the (shard, cell) keys q is expected to deep-search, encoded as
+// shard<<32 | cell. Shards are chosen by centroid routing — the cheap proxy
+// for the sample phase that needs no index scan at admission time — and
+// within each of the top DeepClusters shards the first SampleNProbe probe
+// cells (the head of the DeepNProbe sequence, which every deep nProbe
+// shares) form the key set. Two queries with overlapping keys will scan
+// the same inverted lists.
+func (st *Store) PredictCells(q []float32, p Params) []uint64 {
+	p = p.withDefaults()
+	if len(st.Shards) == 0 {
+		return nil
+	}
+	order := make([]rankedShard, 0, len(st.Shards))
+	for s, sh := range st.Shards {
+		order = append(order, rankedShard{vec.L2Squared(q, sh.Centroid), int32(s)})
+	}
+	sortRanked(order)
+	deep := p.DeepClusters
+	if deep > len(order) {
+		deep = len(order)
+	}
+	keys := make([]uint64, 0, deep*p.SampleNProbe)
+	var cells []int32
+	for _, r := range order[:deep] {
+		cells = st.Shards[r.shard].Index.PredictCells(cells, q, p.SampleNProbe)
+		for _, c := range cells {
+			keys = append(keys, uint64(r.shard)<<32|uint64(uint32(c)))
+		}
+	}
+	return keys
+}
+
 // BuildMonolithic constructs the single-index baseline over the whole
 // corpus with the same quantization.
 func BuildMonolithic(data *vec.Matrix, quantBits, nlist int, seed int64) (*ivf.Index, error) {
@@ -521,14 +552,10 @@ func BuildMonolithic(data *vec.Matrix, quantBits, nlist int, seed int64) (*ivf.I
 	return ix, nil
 }
 
-// BatchResult couples one query's hierarchical-search output with its stats
-// and — on the grouped path — its cost-ledger entry (ISSUE 9): the work
-// attributed to this query, with shared cell streams amortized exactly
-// across their co-probers.
+// BatchResult couples one query's hierarchical-search output with its stats.
 type BatchResult struct {
 	Neighbors []vec.Neighbor
 	Stats     SearchStats
-	Cost      telemetry.QueryCost
 }
 
 // SearchBatch runs the hierarchical search for every query with a pool of

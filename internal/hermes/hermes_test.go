@@ -1,6 +1,7 @@
 package hermes
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/corpus"
@@ -433,5 +434,59 @@ func TestSearchBatchMatchesSingle(t *testing.T) {
 		if stats.SampledShards != batch[i].Stats.SampledShards {
 			t.Fatalf("query %d stats differ", i)
 		}
+	}
+}
+
+// TestPredictCellsStable pins the predictor's shape: keys are (shard, cell)
+// pairs from the top centroid-routed shards, deterministic for a given
+// query, and queries from the same topic overlap more than queries from
+// different topics.
+func TestPredictCellsStable(t *testing.T) {
+	c := testCorpus(t, 1200, 6)
+	st := buildStore(t, c.Vectors, 6)
+	p := DefaultParams()
+	q := c.Queries(1, 67).Vectors.Row(0)
+	a := st.PredictCells(q, p)
+	b := st.PredictCells(q, p)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("prediction not deterministic")
+	}
+	if len(a) == 0 {
+		t.Fatal("no predicted cells")
+	}
+	for _, key := range a {
+		shard := int(key >> 32)
+		if shard < 0 || shard >= st.NumShards() {
+			t.Fatalf("key %x names shard %d out of range", key, shard)
+		}
+	}
+	overlap := func(x, y []uint64) int {
+		set := map[uint64]bool{}
+		for _, k := range x {
+			set[k] = true
+		}
+		n := 0
+		for _, k := range y {
+			if set[k] {
+				n++
+			}
+		}
+		return n
+	}
+	// Same-topic queries should predict overlapping keys far more often than
+	// not; average over several pairs to keep the assertion robust.
+	sameQs := c.Queries(40, 71)
+	same, diff, pairs := 0, 0, 0
+	for i := 0; i+1 < sameQs.Vectors.Len(); i += 2 {
+		qa, qb := sameQs.Vectors.Row(i), sameQs.Vectors.Row(i+1)
+		if sameQs.Topics[i] == sameQs.Topics[i+1] {
+			same += overlap(st.PredictCells(qa, p), st.PredictCells(qb, p))
+		} else {
+			diff += overlap(st.PredictCells(qa, p), st.PredictCells(qb, p))
+		}
+		pairs++
+	}
+	if same == 0 {
+		t.Fatal("same-topic queries predicted zero overlapping keys")
 	}
 }

@@ -25,11 +25,6 @@ type storeMetrics struct {
 	// labeled by the shard's quantizer kind, answering "where does scan time
 	// go per compression scheme" straight off /metrics.
 	scanSeconds []*telemetry.Histogram
-	// groupedQueries / groupSharedScans account the grouped batch path:
-	// queries served through SearchGrouped and the per-cell code streams the
-	// grouping avoided versus per-query execution.
-	groupedQueries   *telemetry.Counter
-	groupSharedScans *telemetry.Counter
 }
 
 // scanHist returns the histogram timing scans of shard s, or nil when
@@ -84,9 +79,5 @@ func (st *Store) SetTelemetry(reg *telemetry.Registry) {
 		deepScanned: reg.Counter("hermes_store_deep_scanned_total",
 			"Vectors scanned by deep phases."),
 		scanSeconds: scan,
-		groupedQueries: reg.Counter("hermes_store_grouped_queries_total",
-			"Queries served through the grouped batch path."),
-		groupSharedScans: reg.Counter("hermes_store_group_shared_scans_total",
-			"Per-cell code streams saved by grouped execution."),
 	}
 }

@@ -81,8 +81,6 @@ type Index struct {
 	deadCount int
 	// pool recycles Searcher scratch across Search calls.
 	pool sync.Pool
-	// groupPool recycles GroupSearcher scratch across SearchGroup calls.
-	groupPool sync.Pool
 }
 
 type invList struct {

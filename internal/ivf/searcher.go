@@ -85,6 +85,29 @@ func (ix *Index) getSearcher() *Searcher {
 	return ix.NewSearcher()
 }
 
+// PredictCells appends the nProbe cells q would probe (ascending centroid
+// distance) to dst[:0] and returns it. This is the batcher's grouping
+// signal: it is the exact probe selection Search will perform, so two
+// queries with overlapping predictions touch the same inverted lists.
+// Untrained indexes and dimension mismatches predict nothing.
+func (ix *Index) PredictCells(dst []int32, q []float32, nProbe int) []int32 {
+	if !ix.trained || len(q) != ix.cfg.Dim {
+		return dst[:0]
+	}
+	if nProbe <= 0 {
+		nProbe = 1
+	}
+	if nProbe > ix.cfg.NList {
+		nProbe = ix.cfg.NList
+	}
+	// Borrow a pooled Searcher's selection scratch, so a warmed index
+	// predicts without allocating.
+	s := ix.getSearcher()
+	s.heap, s.cdist, dst = selectProbeCells(ix, q, nProbe, s.heap, s.cdist, dst)
+	ix.pool.Put(s)
+	return dst
+}
+
 // Search is the allocation-free-scratch variant of Index.Search: results are
 // appended to dst (best first), so a caller that recycles dst pays only for
 // neighbors it has not preallocated room for.
@@ -240,8 +263,8 @@ func (s *Searcher) selectCells(q []float32, nProbe int) {
 	s.heap, s.cdist, s.cells = selectProbeCells(s.ix, q, nProbe, s.heap, s.cdist, s.cells)
 }
 
-// selectProbeCells is the shared probe-cell selection of the single-query
-// and grouped scan paths: it fills cells with the nProbe cells whose
+// selectProbeCells is the probe-cell selection shared by Searcher and
+// PredictCells: it fills cells with the nProbe cells whose
 // centroids are closest to q, ascending by distance. One L2SquaredBatch call
 // scores every centroid into dist (bit-identical to per-centroid L2Squared),
 // then a bounded max-heap partial selection — O(nlist log nProbe) instead of

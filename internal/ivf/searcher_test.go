@@ -163,6 +163,51 @@ func TestSearcherTombstoneCursor(t *testing.T) {
 	check("compacted")
 }
 
+// TestPredictCells pins the batcher's grouping signal to the probe selection
+// the search itself performs.
+func TestPredictCells(t *testing.T) {
+	data := gaussianData(400, 8, 97)
+	ix := buildIndex(t, data, Config{Dim: 8, NList: 10, Seed: 5})
+	q := data.Row(7)
+	cells := ix.PredictCells(nil, q, 4)
+	if len(cells) != 4 {
+		t.Fatalf("predicted %d cells, want 4", len(cells))
+	}
+	s := ix.NewSearcher()
+	s.Search(nil, q, 3, 4)
+	if !reflect.DeepEqual(cells, s.cells) {
+		t.Fatalf("predicted %v != searched %v", cells, s.cells)
+	}
+	// Clamps mirror the search path; reuse of dst keeps the caller alloc-free.
+	cells = ix.PredictCells(cells, q, 99)
+	if len(cells) != ix.NList() {
+		t.Fatalf("nProbe=99 predicted %d cells, want %d", len(cells), ix.NList())
+	}
+	if got := ix.PredictCells(cells, make([]float32, 3), 4); len(got) != 0 {
+		t.Fatalf("dim mismatch predicted %d cells, want 0", len(got))
+	}
+	var un Index
+	if got := un.PredictCells(nil, q, 4); len(got) != 0 {
+		t.Fatalf("untrained predicted %d cells, want 0", len(got))
+	}
+}
+
+// TestPredictCellsZeroAlloc: on a warmed index PredictCells borrows a pooled
+// Searcher's selection scratch, so with room in dst it allocates nothing.
+func TestPredictCellsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts")
+	}
+	data := gaussianData(400, 8, 97)
+	ix := buildIndex(t, data, Config{Dim: 8, NList: 10, Seed: 5})
+	q := data.Row(7)
+	dst := make([]int32, 0, ix.NList())
+	dst = ix.PredictCells(dst, q, 4)
+	if allocs := testing.AllocsPerRun(50, func() { dst = ix.PredictCells(dst, q, 4) }); allocs != 0 {
+		t.Fatalf("PredictCells allocated %v times per call", allocs)
+	}
+}
+
 // BenchmarkSearcherScan is the end-to-end serving-path benchmark: one warmed
 // Searcher, steady-state queries against a 20k-vector index.
 func BenchmarkSearcherScan(b *testing.B) {

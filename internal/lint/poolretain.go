@@ -23,7 +23,7 @@ import (
 // root was rebound in between (x = pool.Get() again starts a new bracket).
 // A pool source is a literal (*sync.Pool).Get call OR a call to a
 // same-package accessor that wraps one — a single-result function whose
-// body draws from a sync.Pool (the getSearcher/getGroupSearcher facade
+// body draws from a sync.Pool (the getSearcher/getScratch facade
 // pattern, which carries a poolescape suppression on its return). Without
 // accessor recognition every real bracket in this module would be
 // invisible: serving code never calls pool.Get directly.

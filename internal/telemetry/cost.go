@@ -6,59 +6,37 @@ import (
 	"time"
 )
 
-// QueryCost is one query's resource-attribution ledger entry (ISSUE 9): the
-// concrete work the serving plane did on its behalf, in units that survive
-// aggregation. Codes scanned are split into the exclusive part (streamed
-// solely for this query) and the shared-amortized part (the query's exact
-// share of cell streams it co-probed with other queries of its batch), so
-// summing the entries of a batch reproduces the batch's distinct code traffic
-// with nothing double-counted. ScanNanos carries the query's share of the
-// measured scan wall time when the execution was traced, and stays zero on
-// the untraced path, which never reads a clock. WireBytes is the query's
-// share of the coordinator<->node wire traffic that served it.
+// QueryCost is one query's resource-attribution ledger entry: the concrete
+// work the serving plane did on its behalf, in units that survive
+// aggregation. Cells and Codes count the IVF cells probed and the live codes
+// scanned for the query across every shard and phase. ScanNanos carries the
+// query's measured scan wall time when the execution was traced, and stays
+// zero on the untraced path, which never reads a clock. WireBytes is the
+// query's share of the coordinator<->node wire traffic that served it.
 type QueryCost struct {
-	Cells          int64 `json:"cells"`
-	SharedCells    int64 `json:"shared_cells"`
-	CodesExclusive int64 `json:"codes_exclusive"`
-	CodesAmortized int64 `json:"codes_amortized"`
-	ScanNanos      int64 `json:"scan_nanos"`
-	WireBytes      int64 `json:"wire_bytes"`
+	Cells     int64 `json:"cells"`
+	Codes     int64 `json:"codes"`
+	ScanNanos int64 `json:"scan_nanos"`
+	WireBytes int64 `json:"wire_bytes"`
 }
 
 // Add accumulates o into c (per-shard and per-phase contributions fold into
 // one query-level entry).
 func (c *QueryCost) Add(o QueryCost) {
 	c.Cells += o.Cells
-	c.SharedCells += o.SharedCells
-	c.CodesExclusive += o.CodesExclusive
-	c.CodesAmortized += o.CodesAmortized
+	c.Codes += o.Codes
 	c.ScanNanos += o.ScanNanos
 	c.WireBytes += o.WireBytes
 }
 
-// Codes is the total codes attributed to the query, exclusive plus amortized.
-func (c QueryCost) Codes() int64 { return c.CodesExclusive + c.CodesAmortized }
-
-// SharedFrac is the fraction of the query's attributed codes that came out of
-// shared (amortized) streams — 0 for a query that shared nothing, and 0 when
-// no codes were scanned at all.
-func (c QueryCost) SharedFrac() float64 {
-	t := c.Codes()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.CodesAmortized) / float64(t)
-}
-
-// IsZero reports whether no cost was recorded (the ledger was not populated —
-// e.g. a record predating cost accounting, or a degraded old-node response).
+// IsZero reports whether no cost was recorded (the ledger was not populated,
+// e.g. a record predating cost accounting).
 func (c QueryCost) IsZero() bool { return c == QueryCost{} }
 
 // String renders the ledger entry compactly for tables and record listings.
 func (c QueryCost) String() string {
-	return fmt.Sprintf("cells=%d(shared %d) codes=%d(excl %d, amort %d) scan=%v wire=%dB",
-		c.Cells, c.SharedCells, c.Codes(), c.CodesExclusive, c.CodesAmortized,
-		time.Duration(c.ScanNanos), c.WireBytes)
+	return fmt.Sprintf("cells=%d codes=%d scan=%v wire=%dB",
+		c.Cells, c.Codes, time.Duration(c.ScanNanos), c.WireBytes)
 }
 
 // AttributeTotal splits total across len(weights) parts in proportion to the
@@ -94,23 +72,20 @@ func AttributeTotal(total int64, weights []int64) []int64 {
 	return parts
 }
 
-// WriteBatchAttribution renders a grouped batch's per-query amortization
-// breakdown as an aligned table: one row per member query plus a totals row,
-// in the order given. The totals row is the exact column sums, which by the
-// ledger's construction equal the batch's measured totals. Shared by the
+// WriteBatchAttribution renders a batch's per-query cost breakdown as an
+// aligned table: one row per member query plus a totals row, in the order
+// given. The totals row is the exact column sums, which by the ledger's
+// construction equal the batch's measured totals. Shared by the
 // /debug/queries?batch= view and hermes-loadtest's -trace report.
 func WriteBatchAttribution(w io.Writer, members []QueryRecord) {
-	fmt.Fprintf(w, "  %-18s %8s %8s %12s %12s %12s %10s %10s\n",
-		"query", "cells", "shared", "codes_excl", "codes_amort", "codes", "scan", "wire")
+	fmt.Fprintf(w, "  %-18s %8s %12s %10s %10s\n", "query", "cells", "codes", "scan", "wire")
 	var total QueryCost
 	for _, qr := range members {
 		c := qr.Cost
 		total.Add(c)
-		fmt.Fprintf(w, "  %016x   %8d %8d %12d %12d %12d %10v %9dB\n",
-			qr.TraceID, c.Cells, c.SharedCells, c.CodesExclusive, c.CodesAmortized,
-			c.Codes(), time.Duration(c.ScanNanos), c.WireBytes)
+		fmt.Fprintf(w, "  %016x   %8d %12d %10v %9dB\n",
+			qr.TraceID, c.Cells, c.Codes, time.Duration(c.ScanNanos), c.WireBytes)
 	}
-	fmt.Fprintf(w, "  %-18s %8d %8d %12d %12d %12d %10v %9dB\n",
-		"total", total.Cells, total.SharedCells, total.CodesExclusive, total.CodesAmortized,
-		total.Codes(), time.Duration(total.ScanNanos), total.WireBytes)
+	fmt.Fprintf(w, "  %-18s %8d %12d %10v %9dB\n",
+		"total", total.Cells, total.Codes, time.Duration(total.ScanNanos), total.WireBytes)
 }

@@ -78,22 +78,19 @@ func TestAttributeTotalShapes(t *testing.T) {
 	}
 }
 
-// TestQueryCostAccessors covers the derived views the tables and histograms
+// TestQueryCostAccessors covers the views the tables and histograms
 // consume.
 func TestQueryCostAccessors(t *testing.T) {
 	var z QueryCost
-	if !z.IsZero() || z.Codes() != 0 || z.SharedFrac() != 0 {
+	if !z.IsZero() {
 		t.Fatalf("zero value not zero: %+v", z)
 	}
-	c := QueryCost{Cells: 4, SharedCells: 2, CodesExclusive: 30, CodesAmortized: 10, ScanNanos: 500, WireBytes: 128}
-	if c.Codes() != 40 {
-		t.Fatalf("Codes = %d", c.Codes())
+	c := QueryCost{Cells: 4, Codes: 40, ScanNanos: 500, WireBytes: 128}
+	if c.IsZero() {
+		t.Fatalf("populated ledger reported zero: %+v", c)
 	}
-	if got := c.SharedFrac(); got != 0.25 {
-		t.Fatalf("SharedFrac = %v", got)
-	}
-	c.Add(QueryCost{Cells: 1, CodesAmortized: 10, WireBytes: 2})
-	if c.Cells != 5 || c.CodesAmortized != 20 || c.WireBytes != 130 {
+	c.Add(QueryCost{Cells: 1, Codes: 10, WireBytes: 2})
+	if c.Cells != 5 || c.Codes != 50 || c.WireBytes != 130 {
 		t.Fatalf("Add produced %+v", c)
 	}
 	if s := c.String(); !strings.Contains(s, "codes=50") || !strings.Contains(s, "wire=130B") {
@@ -106,9 +103,9 @@ func TestQueryCostAccessors(t *testing.T) {
 func batchFixture(rec *Recorder) (batchID uint64, memberCosts []QueryCost) {
 	batchID = uint64(0xabc0)
 	memberCosts = []QueryCost{
-		{Cells: 4, CodesExclusive: 100, CodesAmortized: 20, ScanNanos: 1000, WireBytes: 64},
-		{Cells: 4, SharedCells: 2, CodesExclusive: 10, CodesAmortized: 90, ScanNanos: 900, WireBytes: 64},
-		{Cells: 2, CodesExclusive: 50, ScanNanos: 100, WireBytes: 65},
+		{Cells: 4, Codes: 120, ScanNanos: 1000, WireBytes: 64},
+		{Cells: 4, Codes: 100, ScanNanos: 900, WireBytes: 64},
+		{Cells: 2, Codes: 50, ScanNanos: 100, WireBytes: 65},
 	}
 	var total QueryCost
 	for i, c := range memberCosts {
@@ -183,7 +180,7 @@ func TestServeQueriesBatchView(t *testing.T) {
 	w := httptest.NewRecorder()
 	rec.ServeQueries(w, httptest.NewRequest("GET", "/debug/queries?batch=000000000000abc0", nil))
 	body := w.Body.String()
-	for _, want := range []string{"batch 000000000000abc0", "per-query attribution", "codes_amort", "total"} {
+	for _, want := range []string{"batch 000000000000abc0", "per-query attribution", "codes", "total"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("batch view missing %q:\n%s", want, body)
 		}
@@ -213,8 +210,8 @@ func TestServeQueriesBatchView(t *testing.T) {
 // column sums.
 func TestWriteBatchAttributionTotals(t *testing.T) {
 	members := []QueryRecord{
-		{TraceID: 1, Cost: QueryCost{Cells: 3, CodesExclusive: 7, WireBytes: 10}},
-		{TraceID: 2, Cost: QueryCost{Cells: 2, CodesAmortized: 5, WireBytes: 11}},
+		{TraceID: 1, Cost: QueryCost{Cells: 3, Codes: 7, WireBytes: 10}},
+		{TraceID: 2, Cost: QueryCost{Cells: 2, Codes: 5, WireBytes: 11}},
 	}
 	var sb strings.Builder
 	WriteBatchAttribution(&sb, members)

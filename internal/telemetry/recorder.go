@@ -17,7 +17,7 @@ import (
 // fact, without holding the live *Trace.
 type QueryRecord struct {
 	TraceID   uint64
-	BatchID   uint64        // grouped-batch identity; 0 for solo queries
+	BatchID   uint64 // batch identity; 0 for solo queries
 	Start     time.Time
 	Total     time.Duration // wall time, request start to reply
 	Busy      time.Duration // sum of span durations (> Total under overlap)
@@ -28,7 +28,7 @@ type QueryRecord struct {
 	Err       string        // empty on success
 }
 
-// IsBatch reports whether the record is a grouped batch's summary record
+// IsBatch reports whether the record is a batch's summary record
 // (the batch identity recorded under its own ID, carrying the shared-phase
 // waterfall and the batch totals) rather than a member query.
 func (r QueryRecord) IsBatch() bool { return r.BatchID != 0 && r.BatchID == r.TraceID }
@@ -210,7 +210,7 @@ func (rec *Recorder) Find(traceID uint64) (QueryRecord, bool) {
 	return rec.slow.find(traceID)
 }
 
-// Batch collects a grouped batch by its ID: the batch's own summary record
+// Batch collects a batch by its ID: the batch's own summary record
 // (the shared-phase waterfall and batch totals, recorded under the batch ID)
 // and the member query records that carry the same BatchID, oldest first.
 // ok is false when neither the summary nor any member is still retained.
@@ -274,7 +274,7 @@ func (rec *Recorder) ServeQueries(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "cost: %s\n", qr.Cost)
 		}
 		if qr.BatchID != 0 && !qr.IsBatch() {
-			fmt.Fprintf(w, "batch: %016x (use ?batch=%016x for the grouped view)\n", qr.BatchID, qr.BatchID)
+			fmt.Fprintf(w, "batch: %016x (use ?batch=%016x for the batch view)\n", qr.BatchID, qr.BatchID)
 		}
 		fmt.Fprintln(w, qr.Waterfall())
 		return
@@ -298,7 +298,7 @@ func (rec *Recorder) ServeQueries(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "grouped batch %016x: %d member queries\n", id, len(members))
+		fmt.Fprintf(w, "batch %016x: %d member queries\n", id, len(members))
 		if batch.TraceID != 0 {
 			fmt.Fprintf(w, "batch total=%v busy=%v scanned=%d\n", batch.Total, batch.Busy, batch.Scanned)
 			if !batch.Cost.IsZero() {
@@ -306,7 +306,7 @@ func (rec *Recorder) ServeQueries(w http.ResponseWriter, r *http.Request) {
 			}
 			fmt.Fprintln(w, batch.Waterfall())
 		}
-		fmt.Fprintln(w, "\nper-query attribution (amortization breakdown):")
+		fmt.Fprintln(w, "\nper-query attribution:")
 		WriteBatchAttribution(w, members)
 		return
 	}
@@ -330,7 +330,7 @@ func (rec *Recorder) ServeQueries(w http.ResponseWriter, r *http.Request) {
 		len(recent), len(slow), rec.SlowThreshold())
 	writeRecordList(w, "recent queries (newest first):", recent)
 	writeRecordList(w, "pinned slow queries (slowest first):", slow)
-	fmt.Fprintln(w, "\nuse ?trace=<id> for one query's waterfall, ?batch=<id> for a grouped batch's attribution, ?format=json for machine output")
+	fmt.Fprintln(w, "\nuse ?trace=<id> for one query's waterfall, ?batch=<id> for a batch's attribution, ?format=json for machine output")
 }
 
 func writeRecordList(w http.ResponseWriter, title string, recs []QueryRecord) {
@@ -347,7 +347,7 @@ func writeRecordList(w http.ResponseWriter, title string, recs []QueryRecord) {
 			fmt.Fprintf(w, " batch=%016x", qr.BatchID)
 		}
 		if !qr.Cost.IsZero() {
-			fmt.Fprintf(w, " codes=%d shared=%.0f%%", qr.Cost.Codes(), 100*qr.Cost.SharedFrac())
+			fmt.Fprintf(w, " codes=%d", qr.Cost.Codes)
 		}
 		if qr.Err != "" {
 			fmt.Fprintf(w, " err=%q", qr.Err)

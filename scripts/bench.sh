@@ -9,15 +9,6 @@
 #     SLO engine tick, store scan with an armed slow-scan detector)
 #     -> BENCH_PR7.json. This one is also an acceptance gate: it exits
 #     non-zero if any disabled path allocates.
-#   - hermes-groupbench: context-aware query grouping (grouped vs FIFO
-#     batcher policies under open-loop load, shared-scan hit rate, grouped
-#     scan allocations) -> BENCH_PR8.json. Acceptance gate: it exits
-#     non-zero if the grouped scan path allocates in steady state.
-#   - hermes-costbench: grouped tracing and cost-ledger overhead (untraced
-#     grouped scan with the ledger live, traced scan through the phase
-#     timers) -> BENCH_PR9.json. Acceptance gate: it exits non-zero if the
-#     untraced grouped path allocates or the traced overhead ratio exceeds
-#     the recorded bound.
 #
 # Usage: scripts/bench.sh [extra hermes-kernelbench flags]
 set -eux
@@ -26,5 +17,3 @@ cd "$(dirname "$0")/.."
 
 go run ./cmd/hermes-kernelbench -out BENCH_PR3.json "$@"
 go run ./cmd/hermes-obsbench -out BENCH_PR7.json
-go run ./cmd/hermes-groupbench -out BENCH_PR8.json
-go run ./cmd/hermes-costbench -out BENCH_PR9.json
